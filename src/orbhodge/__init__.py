@@ -19,7 +19,7 @@ from .hodge import (BilinearFormData, GradedSpace, HodgeStructureData,
 from .mhs import (Bigrading, GradedQuotient, NilpotentOperator, OrbitPoint,
                   check_morphism_bidegree, check_orbit_polarized_at, check_pmhs,
                   evaluate_orbit, is_split_over_R, mhs_from_bigrading, nilpotent_exp,
-                  real_form, shift_filtration, weight_filtration)
+                  real_form, weight_filtration)
 from .orbifold import (GroupElementAction, OrbifoldAssembly, OrbifoldData, SectorData,
                        age, assemble_orbifold_cohomology, assemble_polarization,
                        check_kaehler_orbit, check_primitive_polarizations,

@@ -23,6 +23,8 @@ from .exactla import (
     Subspace,
     first_nonpositive_minor,
     i_power,
+    kernel,
+    rank,
     solve_unique,
     sum_all,
 )
@@ -367,18 +369,13 @@ def hard_lefschetz_check(op: LefschetzOperator, n: Degree) -> Report:
             ok = False
             continue
         block = op.block(n - p, power=int(p))
-        r = _matrix_rank(block)
+        r = rank(block)
         if r != lo_dim:
             report.failed("lefschetz_power", {"p": witness_p, "rank": r, "dim": lo_dim})
             ok = False
     if ok:
         report.passed("hard_lefschetz")
     return report
-
-
-def _matrix_rank(m: QiMatrix) -> int:
-    from .exactla import rank as _rank
-    return _rank(m)
 
 
 def primitive_subspace(op: LefschetzOperator, n: int, p: int) -> Subspace:
@@ -392,8 +389,7 @@ def primitive_subspace(op: LefschetzOperator, n: int, p: int) -> Subspace:
         return Subspace.zero(total)
     cols = list(op.graded.block_range(p))
     m = op.matrix.power(n - p + 1).submatrix(list(range(total)), cols)
-    from .exactla import kernel as _kernel
-    ker = _kernel(m)
+    ker = kernel(m)
     vecs = []
     for coeffs in ker.basis.columns():
         v = [GaussRational(0)] * total

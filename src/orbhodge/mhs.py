@@ -3,14 +3,15 @@ polarized mixed Hodge structures and nilpotent orbits.
 
 The weight filtration of a nilpotent N (centered at 0) is computed by the
 closed formula W_l = sum_j N^j ker(N^{l+2j+1}); both characterizing
-properties (N shifts W by -2, N^l induces gr_l ~ gr_{-l}) are asserted on
-the result.  Polarized mixed Hodge structure checks itemize each defining
-condition and decide graded positivity exactly.
+properties (N shifts W by -2, N^l induces gr_l ~ gr_{-l}) are checked on
+the result, raising WeightFiltrationError.  Polarized mixed Hodge structure
+checks itemize each defining condition and decide graded positivity
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
@@ -45,29 +46,42 @@ class NotCommuting(ValueError):
     """Orbit operators must commute pairwise."""
 
 
+class WeightFiltrationError(ValueError):
+    """A computed weight filtration fails one of its characterizing properties."""
+
+
 @dataclass(frozen=True)
 class NilpotentOperator:
-    """A nilpotent endomorphism, with its nilpotency index precomputed."""
+    """A nilpotent endomorphism, with its nilpotency index and the powers
+    N^0, ..., N^index precomputed."""
 
     matrix: QiMatrix
     index: int
+    powers: tuple = field(compare=False, repr=False)
 
     def __init__(self, matrix: QiMatrix):
         if matrix.rows != matrix.cols:
             raise DimensionMismatch("nilpotent operator must be square")
-        power = QiMatrix.identity(matrix.rows)
-        index = 0
-        while not power.is_zero():
-            if index > matrix.rows:
+        powers = [QiMatrix.identity(matrix.rows)]
+        while not powers[-1].is_zero():
+            if len(powers) > matrix.rows + 1:
                 raise NotNilpotent("matrix is not nilpotent")
-            power = power @ matrix
-            index += 1
+            powers.append(powers[-1] @ matrix)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "index", max(index, 1))
+        object.__setattr__(self, "index", max(len(powers) - 1, 1))
+        object.__setattr__(self, "powers", tuple(powers))
 
     @property
     def dim(self) -> int:
         return self.matrix.rows
+
+    def power(self, j: int) -> QiMatrix:
+        """N^j for j >= 0; the zero matrix from the index on."""
+        if j < 0:
+            raise ValueError("negative power")
+        if j < len(self.powers):
+            return self.powers[j]
+        return QiMatrix.zeros(self.dim, self.dim)
 
 
 @dataclass(frozen=True)
@@ -114,13 +128,12 @@ def weight_filtration(n: NilpotentOperator) -> IncreasingFiltration:
 
     W_l = sum over j >= 0 of N^j ker(N^{l+2j+1}), which on every Jordan
     block of size s puts the chain vector N^j v in weight s-1-2j.  The two
-    characterizing properties are asserted before returning.
+    characterizing properties are checked before returning; a failure
+    raises WeightFiltrationError, also under python -O.
     """
     d = n.dim
     m = n.index
-    powers = [QiMatrix.identity(d)]
-    for _ in range(m):
-        powers.append(powers[-1] @ n.matrix)
+    powers = [n.power(j) for j in range(m + 1)]
     kernels = [Subspace.zero(d)]  # ker N^0
     for t in range(1, m + 1):
         kernels.append(kernel(powers[t]))
@@ -144,20 +157,17 @@ def weight_filtration(n: NilpotentOperator) -> IncreasingFiltration:
     w = IncreasingFiltration.from_map(d, spaces)
 
     for l in range(-m, m + 1):
-        assert w.at(l - 2).contains(w.at(l).apply(n.matrix)), \
-            f"weight filtration not shifted by N at l={l}"
+        if not w.at(l - 2).contains(w.at(l).apply(n.matrix)):
+            raise WeightFiltrationError(f"weight filtration not shifted by N at l={l}")
     for l in range(1, m + 1):
         dim_hi = w.at(l).dim - w.at(l - 1).dim
         dim_lo = w.at(-l).dim - w.at(-l - 1).dim
-        assert dim_hi == dim_lo, f"graded dimensions differ at l={l}"
+        if dim_hi != dim_lo:
+            raise WeightFiltrationError(f"graded dimensions differ at l={l}")
         image_l = w.at(l).apply(powers[l]).sum(w.at(-l - 1))
-        assert image_l == w.at(-l), f"N^{l} does not induce gr_{l} ~ gr_{-l}"
+        if image_l != w.at(-l):
+            raise WeightFiltrationError(f"N^{l} does not induce gr_{l} ~ gr_{-l}")
     return w
-
-
-def shift_filtration(w: IncreasingFiltration, s: int) -> IncreasingFiltration:
-    """W[s] with W[s]_j = W_{j+s}."""
-    return w.shift(s)
 
 
 def real_form(s: Subspace) -> Subspace:
@@ -315,12 +325,12 @@ def check_pmhs(w: IncreasingFiltration, f: DecreasingFiltration, q: BilinearForm
     else:
         report.failed("n_infinitesimal_isometry")
 
-    if n.matrix.power(k + 1).is_zero():
+    if n.power(k + 1).is_zero():
         report.passed("n_power_vanishes", {"power": k + 1})
     else:
         report.failed("n_power_vanishes", {"power": k + 1})
 
-    expected = shift_filtration(weight_filtration(n), -k)
+    expected = weight_filtration(n).shift(-k)
     if w == expected:
         report.passed("weight_filtration_matches")
     else:
@@ -350,7 +360,7 @@ def check_pmhs(w: IncreasingFiltration, f: DecreasingFiltration, q: BilinearForm
         f_gr = induced_filtration(f, w, k + l, gr)
         h_gr = pieces_from_filtration(f_gr, k + l)
 
-        power = n.matrix.power(l + 1)
+        power = n.power(l + 1)
         low = GradedQuotient(w, k - l - 2) if w.at(k - l - 2).dim > w.at(k - l - 3).dim else None
         rows = []
         for j in range(gr.dim):
@@ -380,7 +390,7 @@ def check_pmhs(w: IncreasingFiltration, f: DecreasingFiltration, q: BilinearForm
             continue
 
         lifted = gr.lift_matrix @ prim.basis
-        gram = lifted.transpose() @ q.gram @ (n.matrix.power(l) @ lifted)
+        gram = lifted.transpose() @ q.gram @ (n.power(l) @ lifted)
         try:
             form = BilinearFormData(gram, 1 if (k + l) % 2 == 0 else -1)
         except ValueError as exc:

@@ -46,7 +46,6 @@ from .mhs import (
     check_pmhs,
     is_split_over_R,
     mhs_from_bigrading,
-    shift_filtration,
     weight_filtration,
 )
 from .report import Report
@@ -690,7 +689,7 @@ def check_kaehler_orbit(o: OrbifoldData, samples: Optional[Sequence] = None) -> 
         mixed = QiMatrix.zeros(asm.total_dim, asm.total_dim)
         for c, weight_c in enumerate(lam):
             mixed = mixed + mats[c].scale(weight_c)
-        w_ray = shift_filtration(weight_filtration(NilpotentOperator(mixed)), -o.n)
+        w_ray = weight_filtration(NilpotentOperator(mixed)).shift(-o.n)
         if w_ray == w:
             report.passed("weight_filtration_constant", {"ray": list(lam)})
         else:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from orbhodge.exactla import (
     GaussRational,
     I,
+    as_gauss,
     QiMatrix,
     Subspace,
     extend_basis,
@@ -82,6 +83,149 @@ def oracle_weight_filtration(m: QiMatrix) -> IncreasingFiltration:
 
 
 # ---------------------------------------------------------------------------
+# linear algebra over Q(i) on plain Fractions
+#
+# A scalar is a (re, im) pair of Fractions, and every elimination step
+# divides by its pivot at once: the textbook route, with neither the
+# library's integer rows nor its GaussRational operators.
+
+
+def _pair(x) -> tuple:
+    x = as_gauss(x)
+    return x.re, x.im
+
+
+def _mul(a, b) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _sub(a, b) -> tuple:
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _div(a, b) -> tuple:
+    n = b[0] * b[0] + b[1] * b[1]
+    return _mul(a, (b[0] / n, -b[1] / n))
+
+
+def _gauss(a) -> GaussRational:
+    return GaussRational(a[0], a[1])
+
+
+def frac_rref(rows, ncols: int) -> tuple:
+    """Reduced row echelon form of pair rows (a new list) and its pivots."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if any(rows[k][c])), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r][c]
+        rows[r] = [_div(x, p) for x in rows[r]]
+        for k in range(len(rows)):
+            f = rows[k][c]
+            if k != r and any(f):
+                rows[k] = [_sub(x, _mul(f, y)) for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _pair_rows(m: QiMatrix) -> list:
+    return [[_pair(x) for x in row] for row in m.to_rows()]
+
+
+def frac_rank(m: QiMatrix) -> int:
+    return len(frac_rref(_pair_rows(m), m.cols)[1])
+
+
+def frac_span_basis(ambient_dim: int, vectors) -> list:
+    """Canonical basis of the span: the nonzero rows of the rref."""
+    rows, pivots = frac_rref([[_pair(x) for x in v] for v in vectors], ambient_dim)
+    return [[_gauss(x) for x in row] for row in rows[:len(pivots)]]
+
+
+def frac_kernel_basis(m: QiMatrix) -> list:
+    rows, pivots = frac_rref(_pair_rows(m), m.cols)
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    vectors = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [zero] * m.cols
+        v[f] = one
+        for r, p in enumerate(pivots):
+            v[p] = _sub(zero, rows[r][f])
+        vectors.append([_gauss(x) for x in v])
+    return frac_span_basis(m.cols, vectors)
+
+
+def frac_solve(a: QiMatrix, b) -> list:
+    """The unique solution of a x = b, or the library's error message."""
+    aug = [row + [_pair(y)] for row, y in zip(_pair_rows(a), b)]
+    rows, pivots = frac_rref(aug, a.cols + 1)
+    if a.cols in pivots:
+        return "inconsistent system"
+    if len(pivots) != a.cols:
+        return "solution is not unique"
+    return [_gauss(rows[r][a.cols]) for r in range(a.cols)]
+
+
+def frac_inverse(m: QiMatrix):
+    """The inverse as a list of rows, or None when m is singular."""
+    n = m.rows
+    unit = [[(Fraction(int(i == j)), Fraction(0)) for j in range(n)] for i in range(n)]
+    rows, pivots = frac_rref([row + e for row, e in zip(_pair_rows(m), unit)], 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [[_gauss(x) for x in row[n:]] for row in rows]
+
+
+def frac_det(m: QiMatrix) -> GaussRational:
+    """Determinant as the product of the pivots of a plain elimination."""
+    rows = _pair_rows(m)
+    det = (Fraction(1), Fraction(0))
+    for c in range(m.rows):
+        k = next((k for k in range(c, m.rows) if any(rows[k][c])), None)
+        if k is None:
+            return GaussRational(0)
+        if k != c:
+            rows[c], rows[k] = rows[k], rows[c]
+            det = _sub((Fraction(0), Fraction(0)), det)
+        det = _mul(det, rows[c][c])
+        for k in range(c + 1, m.rows):
+            f = _div(rows[k][c], rows[c][c])
+            rows[k] = [_sub(x, _mul(f, y)) for x, y in zip(rows[k], rows[c])]
+    return _gauss(det)
+
+
+def frac_first_nonpositive_minor(h: QiMatrix):
+    """1-based index of the first leading principal minor <= 0, each minor
+    a determinant of its own."""
+    for k in range(1, h.rows + 1):
+        minor = frac_det(h.submatrix(range(k), range(k)))
+        if minor.im:
+            raise AssertionError("a Hermitian matrix has a non-real minor")
+        if minor.re <= 0:
+            return k
+    return None
+
+
+def frac_matmul(a: QiMatrix, b: QiMatrix) -> list:
+    brows = _pair_rows(b)
+    out = []
+    for row in _pair_rows(a):
+        out_row = []
+        for j in range(b.cols):
+            acc = (Fraction(0), Fraction(0))
+            for t, x in enumerate(row):
+                y = _mul(x, brows[t][j])
+                acc = (acc[0] + y[0], acc[1] + y[1])
+            out_row.append(_gauss(acc))
+        out.append(out_row)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # random raw material (plain integers first, exact types at the edges)
 
 
@@ -98,6 +242,42 @@ def random_unimodular_int(rng, n, steps=6) -> list:
         m[a] = [x + c * y for x, y in zip(m[a], m[b])]
         if rng.random() < 0.3:
             m[a], m[b] = m[b], m[a]
+    return m
+
+
+def random_qi_rows(rng, rows, cols, gaussian) -> list:
+    """Random Gaussian-rational rows (real ones when not gaussian) with the
+    shapes elimination must survive: zero entries, rows and columns,
+    duplicate and scaled rows, rank deficiency, and denominators up to 2^40."""
+
+    def scalar():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        if rng.random() < 0.2:
+            return Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40))
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+
+    def entry():
+        im = scalar() if gaussian and rng.random() < 0.6 else 0
+        return GaussRational(scalar(), im)
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    shape = rng.choice(["plain", "low_rank", "duplicates", "zero_lines"])
+    if shape == "low_rank" and rows > 1 and cols:
+        r = rng.randint(0, min(rows, cols) - 1)
+        left = QiMatrix.from_rows([[entry() for _ in range(r)] for _ in range(rows)], cols=r)
+        right = QiMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(r)], cols=cols)
+        m = frac_matmul(left, right)
+    elif shape == "duplicates" and rows > 1:
+        for _ in range(rng.randint(1, rows)):
+            c = entry() if rng.random() < 0.5 else GaussRational(1)
+            m[rng.randrange(rows)] = [c * x for x in m[rng.randrange(rows)]]
+    elif shape == "zero_lines":
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            m[i] = [GaussRational(0)] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols)):
+            for row in m:
+                row[j] = GaussRational(0)
     return m
 
 

@@ -4,6 +4,7 @@ resolution, and the documented example invocations."""
 import contextlib
 import io
 import json
+from pathlib import Path
 
 from orbhodge import cli
 from orbhodge.fixture_store import fixture_text
@@ -160,3 +161,15 @@ def test_json_reports_are_byte_identical_across_runs():
         a = run(argv)
         b = run(argv)
         assert a == b
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_json_output_matches_the_golden_files():
+    # tests/golden/index.json lists every fixture command with the exit code
+    # and the --json bytes recorded from the earlier implementation, which
+    # eliminated on GaussRational scalars; the integer core must match them
+    for case in json.loads((GOLDEN / "index.json").read_text()):
+        code, out, _ = run(case["argv"])
+        assert (code, out) == (case["exit"], (GOLDEN / case["stdout"]).read_text()), case["argv"]

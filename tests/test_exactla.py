@@ -30,7 +30,10 @@ from orbhodge.exactla import (
 from orbhodge.filtration import DecreasingFiltration, IncreasingFiltration
 from orbhodge.report import Report
 
-from oracles import int_matrix, random_nilpotent, random_real_invertible, random_unimodular_int
+from oracles import (frac_det, frac_first_nonpositive_minor, frac_inverse, frac_kernel_basis,
+                     frac_matmul, frac_rank, frac_solve, frac_span_basis, int_matrix,
+                     random_nilpotent, random_qi_rows, random_real_invertible,
+                     random_unimodular_int)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9)
 gauss = st.builds(GaussRational, rationals, rationals)
@@ -235,3 +238,83 @@ def test_power_matches_repeated_product(n, seed):
     for k in range(4):
         assert m.power(k) == acc
         acc = acc @ m
+
+
+# ---------------------------------------------------------------------------
+# agreement with the plain-Fraction oracle on seeded random matrices
+
+
+def _agreement_cases():
+    """200 real and 100 Gaussian matrices of shape 0..9 x 0..9."""
+    rng = random.Random(2026)
+    cases = []
+    for t in range(300):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        if t % 3 == 0:
+            cols = rows  # enough square ones for det, inverse and minors
+        gaussian = t >= 200
+        cases.append((QiMatrix.from_rows(random_qi_rows(rng, rows, cols, gaussian), cols=cols),
+                      gaussian))
+    return cases
+
+
+AGREEMENT_CASES = _agreement_cases()
+
+
+def test_rank_kernel_and_span_agree_with_the_oracle():
+    for m, _ in AGREEMENT_CASES:
+        assert rank(m) == frac_rank(m)
+        assert kernel(m).basis.columns() == frac_kernel_basis(m)
+        span = Subspace.span(m.cols, m.to_rows())
+        assert span.basis.columns() == frac_span_basis(m.cols, m.to_rows())
+
+
+def test_solve_and_inverse_agree_with_the_oracle():
+    rng = random.Random(2027)
+    for m, gaussian in AGREEMENT_CASES:
+        b = [row[0] for row in random_qi_rows(rng, m.rows, 1, gaussian)]
+        want = frac_solve(m, b)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=want):
+                solve_unique(m, b)
+        else:
+            assert solve_unique(m, b) == want
+        if m.rows != m.cols:
+            continue
+        want = frac_inverse(m)
+        if want is None:
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+        else:
+            assert m.inverse() == QiMatrix.from_rows(want, cols=m.cols)
+
+
+def test_det_and_leading_minors_agree_with_the_oracle():
+    square = [m for m, _ in AGREEMENT_CASES if m.rows == m.cols]
+    assert len(square) >= 100
+    for m in square:
+        assert m.det() == frac_det(m)
+        mh = m.conj_transpose()
+        for h in (m + mh, mh @ m):  # indefinite as a rule, and semidefinite
+            assert first_nonpositive_minor(h) == frac_first_nonpositive_minor(h)
+
+
+def test_products_agree_with_the_oracle():
+    rng = random.Random(2028)
+    for a, gaussian in AGREEMENT_CASES:
+        k = rng.randint(0, 9)
+        b = QiMatrix.from_rows(random_qi_rows(rng, a.cols, k, gaussian), cols=k)
+        assert a @ b == QiMatrix.from_rows(frac_matmul(a, b), cols=k)
+        v = [row[0] for row in random_qi_rows(rng, a.cols, 1, gaussian)]
+        column = QiMatrix.from_rows([[x] for x in v], cols=1)
+        assert a.apply(v) == [row[0] for row in frac_matmul(a, column)]
+
+
+def test_span_is_invariant_under_scaling_its_vectors():
+    rng = random.Random(2029)
+    for m, gaussian in AGREEMENT_CASES:
+        s = Subspace.span(m.cols, m.to_rows())
+        factors = [random_qi_rows(rng, 1, 1, gaussian)[0][0] for _ in range(m.rows)]
+        factors = [c if not c.is_zero() else GaussRational(Fraction(-1, 2 ** 40)) for c in factors]
+        scaled = [[c * x for x in row] for c, row in zip(factors, m.to_rows())]
+        assert Subspace.span(m.cols, scaled) == s

@@ -2,10 +2,14 @@
 structures, nilpotent orbits."""
 
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import orbhodge
 from orbhodge.exactla import GaussRational, I, QiMatrix, Subspace
 from orbhodge.mhs import (
     Bigrading,
@@ -21,7 +25,6 @@ from orbhodge.mhs import (
     is_split_over_R,
     mhs_from_bigrading,
     nilpotent_exp,
-    shift_filtration,
     weight_filtration,
 )
 from orbhodge.models import p1_degeneration
@@ -34,6 +37,48 @@ def test_nilpotent_operator_rejects_non_nilpotent():
         NilpotentOperator(QiMatrix.identity(2))
     op = NilpotentOperator(QiMatrix.from_rows([[0, 0], [1, 0]]))
     assert op.index == 2
+
+
+def test_nilpotent_operator_keeps_its_powers():
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        m = random_nilpotent(rng, n)
+        op = NilpotentOperator(m)
+        assert len(op.powers) == op.index + 1
+        for j in range(op.index + 3):
+            assert op.power(j) == m.power(j)
+    # powers are derived data: equality and repr see the matrix alone
+    a = NilpotentOperator(QiMatrix.from_rows([[0, 0], [1, 0]]))
+    assert a == NilpotentOperator(QiMatrix.from_rows([[0, 0], [1, 0]]))
+    assert "powers" not in repr(a)
+
+
+SELF_CHECK_PROBE = '''
+from orbhodge import mhs
+from orbhodge.exactla import QiMatrix, Subspace
+mhs.kernel = lambda m: Subspace.full(m.cols)  # every kernel wrong on purpose
+try:
+    mhs.weight_filtration(mhs.NilpotentOperator(
+        QiMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])))
+except mhs.WeightFiltrationError as exc:
+    print("raised:", exc)
+'''
+
+
+def test_weight_filtration_self_checks_survive_python_O():
+    env = {"PYTHONPATH": str(Path(orbhodge.__file__).parents[1]), "PYTHONHASHSEED": "0"}
+
+    def python(*args):
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+        return done.returncode, done.stdout
+
+    code, out = python("-O", "-c", SELF_CHECK_PROBE)
+    assert code == 0 and out.startswith("raised: weight filtration not shifted by N"), out
+    argv = ("-m", "orbhodge.cli", "check-orbifold", "p2", "--json")
+    plain, optimized = python(*argv), python("-O", *argv)
+    assert plain == optimized and plain[0] == 0 and '"verdict": "pass"' in plain[1]
 
 
 def test_weight_filtration_single_jordan_blocks():
@@ -115,7 +160,7 @@ def test_weight_filtration_mismatch_is_reported():
     bundle = p1_degeneration()
     w, f, _ = mhs_from_bigrading(bundle["bigrading"])
     # shifting W breaks the defining compatibility with N
-    rep = check_pmhs(shift_filtration(w, 1), f, BilinearFormData(bundle["form"], -1),
+    rep = check_pmhs(w.shift(1), f, BilinearFormData(bundle["form"], -1),
                      NilpotentOperator(bundle["nilpotents"][0]), 1)
     assert any(it.check_id == "weight_filtration_matches" for it in rep.failures())
 

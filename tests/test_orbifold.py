@@ -8,7 +8,7 @@ import pytest
 
 from orbhodge.exactla import GaussRational, I, QiMatrix, Subspace
 from orbhodge.hodge import HodgeStructureData
-from orbhodge.mhs import mhs_from_bigrading, weight_filtration, NilpotentOperator, shift_filtration
+from orbhodge.mhs import mhs_from_bigrading, weight_filtration, NilpotentOperator
 from orbhodge.models import kummer_model, p1xp1_model, projective_space_model
 from orbhodge.orbifold import (
     DEFAULT_COORDINATE_SAMPLES,
@@ -176,7 +176,7 @@ def test_theorem_bigrading_matches_kummer_hodge_diamond():
     assert sub.ok()
     # W recenters the Lefschetz weight filtration at n
     lef = asm.lefschetz_matrix([1])
-    assert w == shift_filtration(weight_filtration(NilpotentOperator(lef)), -2)
+    assert w == weight_filtration(NilpotentOperator(lef)).shift(-2)
 
 
 def test_assemble_polarization_middle_and_off_middle():
