@@ -21,10 +21,9 @@ from .mhs import (Bigrading, GradedQuotient, NilpotentOperator, OrbitPoint,
                   evaluate_orbit, is_split_over_R, mhs_from_bigrading, nilpotent_exp,
                   real_form, weight_filtration)
 from .orbifold import (GroupElementAction, OrbifoldAssembly, OrbifoldData, SectorData,
-                       age, assemble_orbifold_cohomology, assemble_polarization,
-                       check_kaehler_orbit, check_primitive_polarizations,
-                       check_total_pmhs, default_samples, hlc_check, is_sl,
-                       orbifold_hard_lefschetz, orbifold_lefschetz, tate_twist,
+                       age, assemble_orbifold_cohomology, check_kaehler_orbit,
+                       check_primitive_polarizations, check_total_pmhs, default_samples,
+                       hlc_check, is_sl, orbifold_hard_lefschetz, tate_twist,
                        theorem_bigrading, validate_dims)
 from .report import CheckItem, Report
 from .toric import (LatticePolytope, SectorCandidate, cy_hypersurface_sectors,

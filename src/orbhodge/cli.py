@@ -17,9 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .exactla import GaussRational, QiMatrix, Subspace
+from .exactla import GaussRational, QiMatrix, Subspace, neg_one_power
 from .fixture_store import shipped_names, shipped_text
-from .hodge import BilinearFormData, check_polarization, validate_hodge_structure
+from .hodge import (BilinearFormData, SymmetrySignMismatch, check_polarization,
+                    validate_hodge_structure)
 from .mhs import (NilpotentOperator, NotCommuting, NotNilpotent, OrbitPoint,
                   check_orbit_polarized_at, check_pmhs, mhs_from_bigrading)
 from .orbifold import (GroupElementAction, age, check_kaehler_orbit,
@@ -174,7 +175,10 @@ def cmd_check_hs(args) -> RunReport:
     if report.ok():
         report.passed("structure_valid")
         if form is not None:
-            report.merge(check_polarization(h, form), prefix="polarization:")
+            try:
+                report.merge(check_polarization(h, form), prefix="polarization:")
+            except SymmetrySignMismatch as exc:
+                raise InputError([("$.form.symmetry_sign", str(exc))])
     return report_to_run("check-hs", report)
 
 
@@ -183,7 +187,7 @@ def _pmhs_context(data, report: Report):
     axiom violations instead of raising.  Returns None when unusable."""
     k = data["weight"]
     try:
-        q = BilinearFormData(data["form"], -1 if k % 2 else 1)
+        q = BilinearFormData(data["form"], neg_one_power(k))
     except ValueError as exc:
         report.failed("form_symmetry", {"reason": str(exc)})
         return None
@@ -224,6 +228,19 @@ def _sample_points(args, data, count: int):
     return default_samples(count)
 
 
+def _check_samples(report: Report, samples, f, q, operators, k) -> None:
+    """Merge the orbit check at each sample point into report, stopping at
+    the first set of operators that do not commute."""
+    for z in samples:
+        try:
+            pt = OrbitPoint(z, operators)
+        except NotCommuting as exc:
+            report.failed("operators_commute", {"reason": str(exc)})
+            return
+        label = ",".join(str(c) for c in z)
+        report.merge(check_orbit_polarized_at(f, pt, k, q), prefix=f"orbit[{label}]:")
+
+
 def cmd_check_pmhs(args) -> RunReport:
     data = load_kind(args.file, "pmhs")
     report = Report()
@@ -234,15 +251,7 @@ def cmd_check_pmhs(args) -> RunReport:
             prefix = f"N{i}:" if len(operators) > 1 else ""
             report.merge(check_pmhs(w, f, q, op, k), prefix=prefix)
         if args.samples or data.get("samples"):
-            for z in _sample_points(args, data, len(operators)):
-                try:
-                    pt = OrbitPoint(z, operators)
-                except NotCommuting as exc:
-                    report.failed("operators_commute", {"reason": str(exc)})
-                    break
-                label = ",".join(str(c) for c in z)
-                report.merge(check_orbit_polarized_at(f, pt, k, q),
-                             prefix=f"orbit[{label}]:")
+            _check_samples(report, _sample_points(args, data, len(operators)), f, q, operators, k)
     return report_to_run("check-pmhs", report)
 
 
@@ -280,16 +289,8 @@ def cmd_orbit(args) -> RunReport:
     elif kind == "pmhs":
         context = _pmhs_context(obj, report)
         if context is not None:
-            w, f, q, operators, k = context
-            for z in _sample_points(args, obj, len(operators)):
-                try:
-                    pt = OrbitPoint(z, operators)
-                except NotCommuting as exc:
-                    report.failed("operators_commute", {"reason": str(exc)})
-                    break
-                label = ",".join(str(c) for c in z)
-                report.merge(check_orbit_polarized_at(f, pt, k, q),
-                             prefix=f"orbit[{label}]:")
+            _w, f, q, operators, k = context
+            _check_samples(report, _sample_points(args, obj, len(operators)), f, q, operators, k)
     else:
         raise InputError([("$.kind", f"orbit needs an orbifold or pmhs input, got {kind}")])
     return report_to_run("orbit", report)
@@ -363,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("age", help="age and SL flag of a local group action")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--exponents", required=True, help="comma-separated, e.g. 1,1")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true")
+    common(p, file_arg=False)
     p.set_defaults(func=cmd_age)
 
     return parser

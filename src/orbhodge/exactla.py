@@ -146,6 +146,11 @@ def i_power(k: int) -> GaussRational:
     return (ONE, I, -ONE, -I)[k % 4]
 
 
+def neg_one_power(k: int) -> int:
+    """(-1)^k for any integer k."""
+    return -1 if k % 2 else 1
+
+
 # ---------------------------------------------------------------------------
 # the integer core
 #
@@ -471,11 +476,6 @@ class QiMatrix:
             out.extend(a[i * ca:(i + 1) * ca])
             out.extend(b[i * cb:(i + 1) * cb])
         return QiMatrix(self.rows, ca + cb, tuple(out))
-
-    def vstack(self, other: "QiMatrix") -> "QiMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return QiMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QiMatrix":
         return QiMatrix(len(row_idx), len(col_idx),

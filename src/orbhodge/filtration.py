@@ -14,16 +14,10 @@ from dataclasses import dataclass
 from .exactla import Subspace
 
 
-def _check_monotone(spaces, increasing: bool) -> None:
-    for a, b in zip(spaces, spaces[1:]):
-        big, small = (b, a) if increasing else (a, b)
-        if not big.contains(small):
-            raise ValueError("filtration is not monotone")
-
-
 @dataclass(frozen=True)
-class IncreasingFiltration:
-    """W_lo <= ... <= W_hi with W_l = 0 for l < lo and W_l = W_hi for l > hi."""
+class Filtration:
+    """Subspaces at the indices lo, lo+1, ..., hi of one ambient space,
+    monotone in the direction of the subclass; `at` clamps outside."""
 
     ambient_dim: int
     lo: int
@@ -35,16 +29,21 @@ class IncreasingFiltration:
         for s in self.spaces:
             if s.ambient_dim != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-        _check_monotone(self.spaces, increasing=True)
+        for a, b in zip(self.spaces, self.spaces[1:]):
+            big, small = (b, a) if self.increasing else (a, b)
+            if not big.contains(small):
+                raise ValueError("filtration is not monotone")
 
     @classmethod
-    def from_map(cls, ambient_dim: int, spaces_by_index: dict) -> "IncreasingFiltration":
+    def _from_map(cls, ambient_dim: int, spaces_by_index: dict, fill: Subspace):
+        """The filtration over min..max of the given indices; a missing index
+        repeats the space before it, and `fill` stands before the first."""
         if not spaces_by_index:
             raise ValueError("empty filtration")
         lo = min(spaces_by_index)
         hi = max(spaces_by_index)
         spaces = []
-        prev = Subspace.zero(ambient_dim)
+        prev = fill
         for l in range(lo, hi + 1):
             prev = spaces_by_index.get(l, prev)
             spaces.append(prev)
@@ -54,33 +53,12 @@ class IncreasingFiltration:
     def hi(self) -> int:
         return self.lo + len(self.spaces) - 1
 
-    def at(self, l: int) -> Subspace:
-        if l < self.lo:
-            return Subspace.zero(self.ambient_dim)
-        if l > self.hi:
-            return self.spaces[-1]
-        return self.spaces[l - self.lo]
-
-    def top(self) -> Subspace:
-        return self.spaces[-1]
-
-    def is_exhaustive(self) -> bool:
-        return self.top().is_full()
-
-    def shift(self, s: int) -> "IncreasingFiltration":
-        """W[s] with W[s]_j = W_{j+s}."""
-        return IncreasingFiltration(self.ambient_dim, self.lo - s, self.spaces)
-
-    def jump_indices(self) -> list:
-        """Indices l with W_l != W_{l-1}."""
-        out = []
-        for l in range(self.lo, self.hi + 1):
-            if self.at(l).dim != self.at(l - 1).dim:
-                out.append(l)
-        return out
+    def shift(self, s: int):
+        """The filtration whose index j holds this one's index j + s."""
+        return type(self)(self.ambient_dim, self.lo - s, self.spaces)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, IncreasingFiltration):
+        if type(other) is not type(self):
             return NotImplemented
         if self.ambient_dim != other.ambient_dim:
             return False
@@ -91,38 +69,39 @@ class IncreasingFiltration:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class DecreasingFiltration:
+class IncreasingFiltration(Filtration):
+    """W_lo <= ... <= W_hi with W_l = 0 for l < lo and W_l = W_hi for l > hi."""
+
+    increasing = True
+
+    @classmethod
+    def from_map(cls, ambient_dim: int, spaces_by_index: dict) -> "IncreasingFiltration":
+        return cls._from_map(ambient_dim, spaces_by_index, Subspace.zero(ambient_dim))
+
+    def at(self, l: int) -> Subspace:
+        if l < self.lo:
+            return Subspace.zero(self.ambient_dim)
+        if l > self.hi:
+            return self.spaces[-1]
+        return self.spaces[l - self.lo]
+
+    def jump_indices(self) -> list:
+        """Indices l with W_l != W_{l-1}."""
+        out = []
+        for l in range(self.lo, self.hi + 1):
+            if self.at(l).dim != self.at(l - 1).dim:
+                out.append(l)
+        return out
+
+
+class DecreasingFiltration(Filtration):
     """F^lo >= ... >= F^hi with F^p full for p < lo and F^p = 0 for p > hi."""
 
-    ambient_dim: int
-    lo: int
-    spaces: tuple
-
-    def __post_init__(self):
-        if not self.spaces:
-            raise ValueError("empty filtration")
-        for s in self.spaces:
-            if s.ambient_dim != self.ambient_dim:
-                raise ValueError("ambient dimension mismatch")
-        _check_monotone(self.spaces, increasing=False)
+    increasing = False
 
     @classmethod
     def from_map(cls, ambient_dim: int, spaces_by_index: dict) -> "DecreasingFiltration":
-        if not spaces_by_index:
-            raise ValueError("empty filtration")
-        lo = min(spaces_by_index)
-        hi = max(spaces_by_index)
-        spaces = []
-        prev = Subspace.full(ambient_dim)
-        for p in range(lo, hi + 1):
-            prev = spaces_by_index.get(p, prev)
-            spaces.append(prev)
-        return cls(ambient_dim, lo, tuple(spaces))
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.spaces) - 1
+        return cls._from_map(ambient_dim, spaces_by_index, Subspace.full(ambient_dim))
 
     def at(self, p: int) -> Subspace:
         if p < self.lo:
@@ -130,10 +109,6 @@ class DecreasingFiltration:
         if p > self.hi:
             return Subspace.zero(self.ambient_dim)
         return self.spaces[p - self.lo]
-
-    def shift(self, s: int) -> "DecreasingFiltration":
-        """F[s] with F[s]^p = F^{p+s}."""
-        return DecreasingFiltration(self.ambient_dim, self.lo - s, self.spaces)
 
     def jump_indices(self) -> list:
         """Indices p with F^p != F^{p+1}."""
@@ -146,14 +121,3 @@ class DecreasingFiltration:
     def conjugate(self) -> "DecreasingFiltration":
         return DecreasingFiltration(self.ambient_dim, self.lo,
                                     tuple(s.conjugate() for s in self.spaces))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DecreasingFiltration):
-            return NotImplemented
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return all(self.at(p) == other.at(p) for p in range(lo, hi + 1))
-
-    __hash__ = None

@@ -51,11 +51,3 @@ def fixture_text(name: str) -> str:
 def shipped_text(name: str) -> str:
     """The file as shipped (what the CLI resolves bare names to)."""
     return (resources.files("orbhodge") / "fixtures" / f"{name}.json").read_text()
-
-
-def write_all(directory) -> None:
-    from pathlib import Path
-    base = Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    for name in shipped_names():
-        (base / f"{name}.json").write_text(fixture_text(name))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .exactla import (
     DimensionMismatch,
@@ -24,6 +24,7 @@ from .exactla import (
     first_nonpositive_minor,
     i_power,
     kernel,
+    neg_one_power,
     rank,
     solve_unique,
     sum_all,
@@ -50,12 +51,49 @@ class HardLefschetzFailure(ValueError):
     """A Lefschetz power that must be an isomorphism is not."""
 
 
-def _sign_for_weight(k: int) -> int:
-    return -1 if k % 2 else 1
+class Bigraded:
+    """Subspaces H^{p,q} of one coordinate space, indexed by bidegree.
+
+    The base of HodgeStructureData and Bigrading.  Pieces are given as a
+    {(p, q): Subspace} dict or (p, q, Subspace) triples; each must live in
+    the ambient space and each bidegree may appear once.  Zero pieces are
+    dropped and the rest sorted by descending p, then ascending q.  Each
+    subclass states its own rule in _index(p, q), which returns the stored
+    index of a piece or raises when (p, q) is not allowed.
+    """
+
+    _duplicate_error = ValueError
+
+    def _set_pieces(self, ambient_dim: int, pieces) -> None:
+        items = []
+        seen = set()
+        if isinstance(pieces, dict):
+            pieces = [(p, q, s) for (p, q), s in pieces.items()]
+        for p, q, s in pieces:
+            p, q = self._index(p, q)
+            if s.ambient_dim != ambient_dim:
+                raise DimensionMismatch(f"piece ({p},{q}) lives in the wrong ambient space")
+            if (p, q) in seen:
+                raise self._duplicate_error(f"duplicate piece ({p},{q})")
+            seen.add((p, q))
+            if s.dim > 0:
+                items.append((p, q, s))
+        items.sort(key=lambda t: (-t[0], t[1]))
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "pieces", tuple(items))
+
+    def piece(self, p, q) -> Subspace:
+        for pp, qq, s in self.pieces:
+            if pp == p and qq == q:
+                return s
+        return Subspace.zero(self.ambient_dim)
+
+    def total_piece_dim(self) -> int:
+        return sum(s.dim for _, _, s in self.pieces)
 
 
 @dataclass(frozen=True)
-class HodgeStructureData:
+class HodgeStructureData(Bigraded):
     """Candidate weight-k decomposition: pieces H^{p,q} with p + q = k.
 
     The constructor enforces only shape constraints (bidegrees sum to the
@@ -67,40 +105,16 @@ class HodgeStructureData:
     weight: int
     pieces: tuple  # ((p, q, Subspace), ...) sorted by descending p
 
+    _duplicate_error = InvalidHodgeStructure
+
     def __init__(self, ambient_dim: int, weight: int, pieces):
-        items = []
-        seen = set()
-        if isinstance(pieces, dict):
-            pieces = [(p, q, s) for (p, q), s in pieces.items()]
-        for p, q, s in pieces:
-            if p + q != weight:
-                raise InvalidHodgeStructure(f"piece ({p},{q}) has p+q != weight {weight}")
-            if s.ambient_dim != ambient_dim:
-                raise DimensionMismatch(f"piece ({p},{q}) lives in the wrong ambient space")
-            if (p, q) in seen:
-                raise InvalidHodgeStructure(f"duplicate piece ({p},{q})")
-            seen.add((p, q))
-            if s.dim > 0:
-                items.append((p, q, s))
-        items.sort(key=lambda t: (-t[0], t[1]))
-        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "pieces", tuple(items))
+        self._set_pieces(ambient_dim, pieces)
 
-    def bidegrees(self) -> list:
-        return [(p, q) for p, q, _ in self.pieces]
-
-    def piece(self, p, q) -> Subspace:
-        for pp, qq, s in self.pieces:
-            if pp == p and qq == q:
-                return s
-        return Subspace.zero(self.ambient_dim)
-
-    def hodge_numbers(self) -> dict:
-        return {(p, q): s.dim for p, q, s in self.pieces}
-
-    def total_piece_dim(self) -> int:
-        return sum(s.dim for _, _, s in self.pieces)
+    def _index(self, p, q) -> tuple:
+        if p + q != self.weight:
+            raise InvalidHodgeStructure(f"piece ({p},{q}) has p+q != weight {self.weight}")
+        return p, q
 
 
 @dataclass(frozen=True)
@@ -126,15 +140,20 @@ class BilinearFormData:
     def dim(self) -> int:
         return self.gram.rows
 
-    def pair(self, u: Sequence, v: Sequence) -> GaussRational:
-        """Q(u, v), extended bilinearly (not sesquilinearly) to C^d."""
-        row = QiMatrix.from_rows([list(u)])
-        col = QiMatrix.from_columns([list(v)])
-        return (row @ self.gram @ col).entry(0, 0)
-
     def pair_matrices(self, a: QiMatrix, b: QiMatrix) -> QiMatrix:
         """Matrix of Q(a_i, b_j) over the columns of a and b."""
         return a.transpose() @ self.gram @ b
+
+
+def pad_vectors(vectors, offset: int, size: int) -> list:
+    """Each vector written from coordinate `offset` into a zero vector of
+    length `size`."""
+    out = []
+    for v in vectors:
+        vec = [GaussRational(0)] * size
+        vec[offset:offset + len(v)] = v
+        out.append(vec)
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,9 +175,6 @@ class GradedSpace:
     @property
     def total_dim(self) -> int:
         return sum(n for _, n in self.blocks)
-
-    def degrees(self) -> list:
-        return [d for d, _ in self.blocks]
 
     def dim_at(self, degree: Degree) -> int:
         degree = Fraction(degree)
@@ -187,14 +203,6 @@ class GradedSpace:
             v[i] = 1
             vecs.append(v)
         return Subspace.span(self.total_dim, vecs)
-
-    def degree_of_coordinate(self, i: int) -> Fraction:
-        off = 0
-        for d, n in self.blocks:
-            if off <= i < off + n:
-                return d
-            off += n
-        raise IndexError("coordinate outside the graded space")
 
 
 @dataclass(frozen=True)
@@ -250,10 +258,6 @@ def validate_hodge_structure(h: HodgeStructureData) -> Report:
     return report
 
 
-def is_valid_hodge_structure(h: HodgeStructureData) -> bool:
-    return validate_hodge_structure(h).ok()
-
-
 def filtration_from_pieces(h: HodgeStructureData) -> DecreasingFiltration:
     """Hodge filtration F^a = sum of pieces with p >= a.  Assumes h valid."""
     if not h.pieces:
@@ -278,18 +282,25 @@ def pieces_from_filtration(f: DecreasingFiltration, k: int) -> HodgeStructureDat
     return HodgeStructureData(f.ambient_dim, k, pieces)
 
 
+def _weil_basis(h: HodgeStructureData) -> tuple:
+    """(B, C B): the piece bases side by side, and each column times i^{p-q}.
+    Needs at least one piece."""
+    basis = None
+    diag = []
+    for p, q, s in h.pieces:
+        basis = s.basis if basis is None else basis.hstack(s.basis)
+        diag.extend([i_power(p - q)] * s.dim)
+    return basis, basis @ QiMatrix.diagonal(diag)
+
+
 def weil_operator(h: HodgeStructureData) -> QiMatrix:
     """The operator acting by i^{p-q} on each piece; requires h valid."""
     if not validate_hodge_structure(h).ok():
         raise InvalidHodgeStructure("Weil operator of an invalid Hodge structure")
     if h.ambient_dim == 0:
         return QiMatrix.identity(0)
-    basis = None
-    diag = []
-    for p, q, s in h.pieces:
-        basis = s.basis if basis is None else basis.hstack(s.basis)
-        diag.extend([i_power(p - q)] * s.dim)
-    return basis @ QiMatrix.diagonal(diag) @ basis.inverse()
+    basis, weil_basis = _weil_basis(h)
+    return weil_basis @ basis.inverse()
 
 
 def check_polarization(h: HodgeStructureData, q: BilinearFormData) -> Report:
@@ -299,9 +310,9 @@ def check_polarization(h: HodgeStructureData, q: BilinearFormData) -> Report:
     Raises SymmetrySignMismatch when q's sign is not (-1)^weight; all
     mathematical failures are reported, not raised.
     """
-    if q.symmetry_sign != _sign_for_weight(h.weight):
+    if q.symmetry_sign != neg_one_power(h.weight):
         raise SymmetrySignMismatch(
-            f"weight {h.weight} needs symmetry sign {_sign_for_weight(h.weight)}")
+            f"weight {h.weight} needs symmetry sign {neg_one_power(h.weight)}")
     if q.dim != h.ambient_dim:
         raise DimensionMismatch("form and Hodge structure have different ambient spaces")
     report = Report()
@@ -322,12 +333,7 @@ def check_polarization(h: HodgeStructureData, q: BilinearFormData) -> Report:
     if h.ambient_dim == 0:
         report.passed("positivity")
         return report
-    basis = None
-    diag = []
-    for p, pq, s in h.pieces:
-        basis = s.basis if basis is None else basis.hstack(s.basis)
-        diag.extend([i_power(p - pq)] * s.dim)
-    weil_basis = basis @ QiMatrix.diagonal(diag)
+    basis, weil_basis = _weil_basis(h)
     gram = weil_basis.transpose() @ q.gram @ basis.conj()
     try:
         bad = first_nonpositive_minor(gram)
@@ -389,14 +395,7 @@ def primitive_subspace(op: LefschetzOperator, n: int, p: int) -> Subspace:
         return Subspace.zero(total)
     cols = list(op.graded.block_range(p))
     m = op.matrix.power(n - p + 1).submatrix(list(range(total)), cols)
-    ker = kernel(m)
-    vecs = []
-    for coeffs in ker.basis.columns():
-        v = [GaussRational(0)] * total
-        for c, coord in zip(cols, range(len(cols))):
-            v[c] = coeffs[coord]
-        vecs.append(v)
-    return Subspace.span(total, vecs)
+    return Subspace.span(total, pad_vectors(kernel(m).basis.columns(), cols[0], total))
 
 
 def lefschetz_decomposition(op: LefschetzOperator, n: int) -> dict:

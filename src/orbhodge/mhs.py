@@ -23,13 +23,14 @@ from .exactla import (
     Subspace,
     extend_basis,
     kernel,
+    neg_one_power,
     solve_unique,
     sum_all,
 )
 from .filtration import DecreasingFiltration, IncreasingFiltration
 from .hodge import (
     BilinearFormData,
-    HodgeStructureData,
+    Bigraded,
     check_polarization,
     pieces_from_filtration,
     restrict_structure,
@@ -85,42 +86,22 @@ class NilpotentOperator:
 
 
 @dataclass(frozen=True)
-class Bigrading:
-    """Candidate splitting I^{p,q} of a coordinate space."""
+class Bigrading(Bigraded):
+    """Candidate splitting I^{p,q} of a coordinate space; indices are
+    stored as Fractions."""
 
     ambient_dim: int
     pieces: tuple  # ((p, q, Subspace), ...) sorted
 
     def __init__(self, ambient_dim: int, pieces):
-        items = []
-        seen = set()
-        if isinstance(pieces, dict):
-            pieces = [(p, q, s) for (p, q), s in pieces.items()]
-        for p, q, s in pieces:
-            if s.ambient_dim != ambient_dim:
-                raise DimensionMismatch(f"piece ({p},{q}) lives in the wrong ambient space")
-            if (p, q) in seen:
-                raise ValueError(f"duplicate piece ({p},{q})")
-            seen.add((p, q))
-            if s.dim > 0:
-                items.append((Fraction(p), Fraction(q), s))
-        items.sort(key=lambda t: (-t[0], t[1]))
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "pieces", tuple(items))
+        self._set_pieces(ambient_dim, pieces)
 
-    def piece(self, p, q) -> Subspace:
-        p, q = Fraction(p), Fraction(q)
-        for pp, qq, s in self.pieces:
-            if pp == p and qq == q:
-                return s
-        return Subspace.zero(self.ambient_dim)
-
-    def bidegrees(self) -> list:
-        return [(p, q) for p, q, _ in self.pieces]
+    def _index(self, p, q) -> tuple:
+        return Fraction(p), Fraction(q)
 
     def is_direct_sum(self) -> bool:
         total = sum_all(self.ambient_dim, [s for _, _, s in self.pieces])
-        return total.is_full() and total.dim == sum(s.dim for _, _, s in self.pieces)
+        return total.is_full() and total.dim == self.total_piece_dim()
 
 
 def weight_filtration(n: NilpotentOperator) -> IncreasingFiltration:
@@ -325,7 +306,8 @@ def check_pmhs(w: IncreasingFiltration, f: DecreasingFiltration, q: BilinearForm
     else:
         report.failed("n_infinitesimal_isometry")
 
-    if n.power(k + 1).is_zero():
+    # below weight -1 the power is negative; N^0 = I is nonzero already
+    if k >= -1 and n.power(k + 1).is_zero():
         report.passed("n_power_vanishes", {"power": k + 1})
     else:
         report.failed("n_power_vanishes", {"power": k + 1})
@@ -360,18 +342,15 @@ def check_pmhs(w: IncreasingFiltration, f: DecreasingFiltration, q: BilinearForm
         f_gr = induced_filtration(f, w, k + l, gr)
         h_gr = pieces_from_filtration(f_gr, k + l)
 
-        power = n.power(l + 1)
-        low = GradedQuotient(w, k - l - 2) if w.at(k - l - 2).dim > w.at(k - l - 3).dim else None
-        rows = []
-        for j in range(gr.dim):
-            image = power.apply(gr.lift([1 if t == j else 0 for t in range(gr.dim)]))
-            if low is None:
-                rows.append([GaussRational(0)] * 0)
-            else:
-                rows.append(low.project(image))
-        if low is None:
+        if w.at(k - l - 2).dim == w.at(k - l - 3).dim:
             prim = Subspace.full(gr.dim)
         else:
+            low = GradedQuotient(w, k - l - 2)
+            power = n.power(l + 1)
+            rows = []
+            for j in range(gr.dim):
+                image = power.apply(gr.lift([1 if t == j else 0 for t in range(gr.dim)]))
+                rows.append(low.project(image))
             prim = kernel(QiMatrix.from_columns(rows, rows=low.dim))
         if prim.dim == 0:
             report.passed("graded_polarization", {"l": l, "primitive_dim": 0})
@@ -392,7 +371,7 @@ def check_pmhs(w: IncreasingFiltration, f: DecreasingFiltration, q: BilinearForm
         lifted = gr.lift_matrix @ prim.basis
         gram = lifted.transpose() @ q.gram @ (n.power(l) @ lifted)
         try:
-            form = BilinearFormData(gram, 1 if (k + l) % 2 == 0 else -1)
+            form = BilinearFormData(gram, neg_one_power(k + l))
         except ValueError as exc:
             report.failed("graded_polarization", {"l": l, "reason": str(exc)})
             continue

@@ -15,7 +15,7 @@ associated nilpotent orbit over the Kaehler cone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,14 +26,15 @@ from .exactla import (
     Subspace,
     as_gauss,
     kernel,
+    neg_one_power,
 )
-from .filtration import DecreasingFiltration, IncreasingFiltration
 from .hodge import (
     BilinearFormData,
     GradedSpace,
     HodgeStructureData,
     LefschetzOperator,
     hard_lefschetz_check,
+    pad_vectors,
     restrict_structure,
     validate_hodge_structure,
     check_polarization,
@@ -114,29 +115,23 @@ class SectorData:
                 raise ValueError(f"sector {id}: degree {j} outside 0..{2 * dim}")
             if h.weight != j:
                 raise ValueError(f"sector {id}: H^{j} has weight {h.weight}")
-
-        def betti(j):
-            for jj, h in cohomology:
-                if jj == j:
-                    return h.ambient_dim
-            return 0
+        object.__setattr__(self, "cohomology", cohomology)
 
         if isinstance(pairing, dict):
             pairing = sorted(pairing.items())
         given = {int(j): m for j, m in pairing}
         full_pairing = {}
         for j, _h in cohomology:
-            if betti(j) == 0:
+            if self.betti(j) == 0:
                 continue
             dual = 2 * dim - j
             if j in given:
                 m = given[j]
             elif dual in given:
-                sign = -1 if (dual * j) % 2 else 1
-                m = given[dual].transpose().scale(sign)
+                m = given[dual].transpose().scale(neg_one_power(dual * j))
             else:
                 raise ValueError(f"sector {id}: no pairing for degree {j}")
-            if m.rows != betti(j) or m.cols != betti(dual):
+            if m.rows != self.betti(j) or m.cols != self.betti(dual):
                 raise DimensionMismatch(f"sector {id}: pairing shape at degree {j}")
             if not m.is_real():
                 raise ValueError(f"sector {id}: pairing must be rational")
@@ -145,8 +140,7 @@ class SectorData:
             full_pairing[j] = m
         for j, m in full_pairing.items():
             dual = 2 * dim - j
-            sign = -1 if (dual * j) % 2 else 1
-            if full_pairing.get(dual) != m.transpose().scale(sign):
+            if full_pairing.get(dual) != m.transpose().scale(neg_one_power(dual * j)):
                 raise ValueError(f"sector {id}: pairing not graded symmetric at degree {j}")
 
         actions = []
@@ -156,7 +150,7 @@ class SectorData:
             amap = {int(j): m for j, m in action}
             norm = {}
             for j, _h in cohomology:
-                b_src, b_dst = betti(j), betti(j + 2)
+                b_src, b_dst = self.betti(j), self.betti(j + 2)
                 m = amap.get(j, QiMatrix.zeros(b_dst, b_src))
                 if m.rows != b_dst or m.cols != b_src:
                     raise DimensionMismatch(f"sector {id}: action shape at degree {j}")
@@ -169,7 +163,6 @@ class SectorData:
         object.__setattr__(self, "age", age)
         object.__setattr__(self, "partner", str(partner))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cohomology", cohomology)
         object.__setattr__(self, "pairing", tuple(sorted(full_pairing.items())))
         object.__setattr__(self, "kaehler_actions", tuple(actions))
         self._check_action_bidegrees()
@@ -187,9 +180,6 @@ class SectorData:
                     if not target.piece(p + 1, q + 1).contains(image):
                         raise ValueError(
                             f"sector {self.id}: class {c} maps ({p},{q}) outside ({p + 1},{q + 1})")
-
-    def degrees(self) -> list:
-        return [j for j, _ in self.cohomology]
 
     def betti(self, j: int) -> int:
         for jj, h in self.cohomology:
@@ -211,9 +201,6 @@ class SectorData:
 
     def action_at(self, c: int, j: int) -> QiMatrix:
         return dict(self.kaehler_actions[c])[j]
-
-    def total_betti(self) -> int:
-        return sum(h.ambient_dim for _, h in self.cohomology)
 
 
 @dataclass(frozen=True)
@@ -293,44 +280,49 @@ class OrbifoldAssembly:
 
     Placements list (sector index, sector degree, global offset, dim) with
     degrees ascending and, within one orbifold degree, sectors in input
-    order.  The orbifold degree of sector degree j is j + 2*age.
+    order; offsets maps (sector index, sector degree) to the global offset.
+    The orbifold degree of sector degree j is j + 2*age.
     """
 
     orbifold: OrbifoldData
     graded: GradedSpace
     placements: tuple
+    offsets: dict = field(compare=False, repr=False)
 
     @property
     def total_dim(self) -> int:
         return self.graded.total_dim
 
-    def offset(self, sector_index: int, j: int) -> int:
-        for t, jj, off, _dim in self.placements:
-            if t == sector_index and jj == j:
-                return off
-        raise KeyError((sector_index, j))
-
-    def embed(self, sector_index: int, j: int, vector: Sequence) -> list:
-        off = self.offset(sector_index, j)
-        out = [GaussRational(0)] * self.total_dim
-        for i, x in enumerate(vector):
-            out[off + i] = as_gauss(x)
-        return out
-
     def orbifold_degree(self, sector_index: int, j: int) -> Fraction:
         return j + 2 * self.orbifold.sectors[sector_index].age
 
-    def bigrading(self) -> Bigrading:
-        """Total (p,q)-splitting: sector pieces shifted by (age, age)."""
+    def _window_pieces(self, placements, start: int, size: int) -> dict:
+        """{(p + age, q + age): span} of the pieces of the given placements,
+        as vectors of the size-`size` window from global coordinate `start`."""
         collected = {}
-        for t, j, _off, _dim in self.placements:
+        for t, j, off, _dim in placements:
             sector = self.orbifold.sectors[t]
             for p, q, s in sector.structure(j).pieces:
-                key = (p + sector.age, q + sector.age)
-                vecs = [self.embed(t, j, v) for v in s.vectors()]
-                collected.setdefault(key, []).extend(vecs)
-        pieces = {key: Subspace.span(self.total_dim, vecs) for key, vecs in collected.items()}
-        return Bigrading(self.total_dim, pieces)
+                collected.setdefault((p + sector.age, q + sector.age), []).extend(
+                    pad_vectors(s.vectors(), off - start, size))
+        return {key: Subspace.span(size, vecs) for key, vecs in collected.items()}
+
+    def _block_matrix(self, blocks) -> QiMatrix:
+        """The n x n matrix summing z * m placed at (row, col), over the
+        (row, col, m, z) blocks."""
+        n = self.total_dim
+        rows = [[GaussRational(0)] * n for _ in range(n)]
+        for dst, src, m, z in blocks:
+            for a in range(m.rows):
+                for b in range(m.cols):
+                    x = m.entry(a, b)
+                    if not x.is_zero():
+                        rows[dst + a][src + b] = rows[dst + a][src + b] + z * x
+        return QiMatrix.from_rows(rows, cols=n)
+
+    def bigrading(self) -> Bigrading:
+        """Total (p,q)-splitting: sector pieces shifted by (age, age)."""
+        return Bigrading(self.total_dim, self._window_pieces(self.placements, 0, self.total_dim))
 
     def degree_structure(self, k: int) -> HodgeStructureData:
         """Weight-k Hodge structure data on the degree-k block, in block
@@ -340,60 +332,41 @@ class OrbifoldAssembly:
         block_dim = self.graded.dim_at(k)
         if block_dim == 0:
             return HodgeStructureData(0, k, {})
-        block_off = self.graded.offset(k)
-        collected = {}
-        for t, j, off, dim in self.placements:
-            if self.orbifold_degree(t, j) != k:
-                continue
-            sector = self.orbifold.sectors[t]
-            shift = int(sector.age)
-            local = off - block_off
-            for p, q, s in sector.structure(j).pieces:
-                for v in s.vectors():
-                    vec = [GaussRational(0)] * block_dim
-                    for i, x in enumerate(v):
-                        vec[local + i] = x
-                    collected.setdefault((p + shift, q + shift), []).append(vec)
-        pieces = {key: Subspace.span(block_dim, vecs) for key, vecs in collected.items()}
-        return HodgeStructureData(block_dim, k, pieces)
+        block = [(t, j, off, dim) for t, j, off, dim in self.placements
+                 if self.orbifold_degree(t, j) == k]
+        pieces = self._window_pieces(block, self.graded.offset(k), block_dim)
+        return HodgeStructureData(block_dim, k,
+                                  {(int(p), int(q)): s for (p, q), s in pieces.items()})
 
     def lefschetz_matrix(self, coeffs: Sequence) -> QiMatrix:
         coeffs = [as_gauss(c) for c in coeffs]
         if len(coeffs) != self.orbifold.kaehler_basis_size:
             raise DimensionMismatch("one coefficient per Kaehler basis class required")
-        n = self.total_dim
-        rows = [[GaussRational(0)] * n for _ in range(n)]
-        for t, j, off, dim in self.placements:
-            sector = self.orbifold.sectors[t]
-            if sector.betti(j + 2) == 0:
+        blocks = []
+        for t, j, off, _dim in self.placements:
+            dst = self.offsets.get((t, j + 2))
+            if dst is None:
                 continue
-            dst = self.offset(t, j + 2)
-            for c, z in enumerate(coeffs):
-                if z.is_zero():
-                    continue
-                m = sector.action_at(c, j)
-                for a in range(m.rows):
-                    for b in range(m.cols):
-                        x = m.entry(a, b)
-                        if not x.is_zero():
-                            rows[dst + a][off + b] = rows[dst + a][off + b] + z * x
-        return QiMatrix.from_rows(rows, cols=n)
+            sector = self.orbifold.sectors[t]
+            blocks.extend((dst, off, sector.action_at(c, j), z)
+                          for c, z in enumerate(coeffs) if not z.is_zero())
+        return self._block_matrix(blocks)
 
     def block_pairing_sign(self, sector_index: int, j: int) -> int:
         k = self.orbifold_degree(sector_index, j)
         if k.denominator != 1:
             raise NotSL("pairing signs need integral orbifold degrees")
         k = int(k)
-        exponent = k * (k - 1) // 2 + int(self.orbifold.sectors[sector_index].age)
-        return -1 if exponent % 2 else 1
+        return neg_one_power(k * (k - 1) // 2 + int(self.orbifold.sectors[sector_index].age))
 
     def total_form(self) -> BilinearFormData:
         """The direct sum over sectors of signed integration pairings.
 
         Q(a, b) = sign * pairing(a, b) for a in sector degree j and b in
-        sector degree 2*dim - j of the same sector; blocks between
-        different sectors or non-complementary degrees vanish.  The result
-        is (-1)^n-symmetric.  Sector degrees j and 2*dim - j sit in
+        sector degree 2*dim - j of the same sector, the sign being
+        (-1)^(d(d-1)/2 + age) for the orbifold degree d of a; blocks
+        between different sectors or non-complementary degrees vanish.  The
+        result is (-1)^n-symmetric.  Sector degrees j and 2*dim - j sit in
         complementary orbifold degrees k and 2n - k exactly when the sector
         has the age of its partner, so the hard Lefschetz condition is
         required.
@@ -403,23 +376,14 @@ class OrbifoldAssembly:
         if not hlc_check(self.orbifold).ok():
             raise ValueError("pairing blocks do not respect complementary degrees "
                              "unless every sector has the age of its partner")
-        n = self.total_dim
-        rows = [[GaussRational(0)] * n for _ in range(n)]
-        for t, j, off, dim in self.placements:
+        blocks = []
+        for t, j, off, _dim in self.placements:
             sector = self.orbifold.sectors[t]
-            dual = 2 * sector.dim - j
-            if sector.betti(dual) == 0:
-                continue
-            dual_off = self.offset(t, dual)
-            sign = self.block_pairing_sign(t, j)
-            m = sector.pairing_at(j)
-            for a in range(m.rows):
-                for b in range(m.cols):
-                    x = m.entry(a, b)
-                    if not x.is_zero():
-                        rows[off + a][dual_off + b] = x if sign == 1 else -x
-        gram = QiMatrix.from_rows(rows, cols=n)
-        return BilinearFormData(gram, -1 if self.orbifold.n % 2 else 1)
+            dual_off = self.offsets.get((t, 2 * sector.dim - j))
+            if dual_off is not None:
+                blocks.append((off, dual_off, sector.pairing_at(j),
+                               GaussRational(self.block_pairing_sign(t, j))))
+        return BilinearFormData(self._block_matrix(blocks), neg_one_power(self.orbifold.n))
 
 
 def assemble_orbifold_cohomology(o: OrbifoldData) -> OrbifoldAssembly:
@@ -431,75 +395,24 @@ def assemble_orbifold_cohomology(o: OrbifoldData) -> OrbifoldAssembly:
                 entries.append((j + 2 * sector.age, t, j, h.ambient_dim))
     entries.sort(key=lambda e: (e[0], e[1]))
     placements = []
+    offsets = {}
     offset = 0
     block_dims = {}
     for degree, t, j, dim in entries:
         placements.append((t, j, offset, dim))
+        offsets[(t, j)] = offset
         block_dims[degree] = block_dims.get(degree, 0) + dim
         offset += dim
     graded = GradedSpace(sorted(block_dims.items()))
-    return OrbifoldAssembly(o, graded, tuple(placements))
-
-
-def orbifold_lefschetz(o: OrbifoldData, coeffs: Sequence) -> LefschetzOperator:
-    """Total wedge action of sum(coeffs[c] * kaehler class c)."""
-    asm = assemble_orbifold_cohomology(o)
-    return LefschetzOperator(asm.lefschetz_matrix(coeffs), asm.graded)
+    return OrbifoldAssembly(o, graded, tuple(placements), offsets)
 
 
 def orbifold_hard_lefschetz(o: OrbifoldData, coeffs: Sequence) -> Report:
-    """Hard Lefschetz for the assembled operator around middle degree n."""
-    op = orbifold_lefschetz(o, coeffs)
-    return hard_lefschetz_check(op, o.n)
-
-
-def assemble_polarization(o: OrbifoldData, k) -> BilinearFormData:
-    """The pairing between H_orb^k and H_orb^{2n-k} with its degree signs.
-
-    Each sector block carries (-1)^(d(d-1)/2 + age) times the sector's own
-    pairing, d being the orbifold degree of the row side.  Away from the
-    middle degree the form lives on H_orb^k + H_orb^{2n-k} (rows and
-    columns in assembly order); at k = n it is the middle block alone.
-    Sector blocks whose complementary degree falls outside
-    {k, 2n-k} are dropped, which leaves the form degenerate; the
-    constructor rejects that, so failures of the hard Lefschetz condition
-    surface as errors here.
-    """
-    if not o.is_sl():
-        raise NotSL("polarization signs need integral ages")
-    k = Fraction(k)
+    """Hard Lefschetz for the total wedge action of sum(coeffs[c] * Kaehler
+    class c), around middle degree n."""
     asm = assemble_orbifold_cohomology(o)
-    wanted = [k] if k == o.n else [k, 2 * o.n - k]
-    chosen = []
-    offset = 0
-    for t, j, _off, dim in asm.placements:
-        if asm.orbifold_degree(t, j) in wanted:
-            chosen.append((t, j, offset, dim))
-            offset += dim
-    total = offset
-
-    def local_offset(t, j):
-        for tt, jj, off, _dim in chosen:
-            if tt == t and jj == j:
-                return off
-        return None
-
-    rows = [[GaussRational(0)] * total for _ in range(total)]
-    for t, j, off, dim in chosen:
-        sector = o.sectors[t]
-        dual = 2 * sector.dim - j
-        dual_off = local_offset(t, dual)
-        if dual_off is None or sector.betti(dual) == 0:
-            continue
-        sign = asm.block_pairing_sign(t, j)
-        m = sector.pairing_at(j)
-        for a in range(m.rows):
-            for b in range(m.cols):
-                x = m.entry(a, b)
-                if not x.is_zero():
-                    rows[off + a][dual_off + b] = x if sign == 1 else -x
-    gram = QiMatrix.from_rows(rows, cols=total)
-    return BilinearFormData(gram, -1 if o.n % 2 else 1)
+    op = LefschetzOperator(asm.lefschetz_matrix(coeffs), asm.graded)
+    return hard_lefschetz_check(op, o.n)
 
 
 def tate_twist(h: HodgeStructureData, s: int) -> HodgeStructureData:
@@ -508,7 +421,7 @@ def tate_twist(h: HodgeStructureData, s: int) -> HodgeStructureData:
                               {(p + s, q + s): sub for p, q, sub in h.pieces})
 
 
-def _gates(o: OrbifoldData, report: Report, require_hlc: bool = True) -> bool:
+def _gates(o: OrbifoldData, report: Report) -> bool:
     """Common preconditions: integral ages, sector dimensions, HLC."""
     if not o.is_sl():
         report.failed("sl_sectors",
@@ -520,12 +433,9 @@ def _gates(o: OrbifoldData, report: Report, require_hlc: bool = True) -> bool:
     report.merge(dims, prefix="dims:")
     if not dims.ok():
         return False
-    if require_hlc:
-        hlc = hlc_check(o)
-        report.merge(hlc)
-        if not hlc.ok():
-            return False
-    return True
+    hlc = hlc_check(o)
+    report.merge(hlc)
+    return hlc.ok()
 
 
 def check_primitive_polarizations(o: OrbifoldData, coeffs: Sequence) -> Report:
@@ -567,20 +477,13 @@ def check_primitive_polarizations(o: OrbifoldData, coeffs: Sequence) -> Report:
                           {"k": k, "reason": "pieces do not restrict to the primitive part"})
             continue
 
-        block_off = asm.graded.offset(k)
-        lift = QiMatrix.zeros(asm.total_dim, 0)
-        lift_rows = []
-        for v in prim.basis.columns():
-            vec = [GaussRational(0)] * asm.total_dim
-            for i, x in enumerate(v):
-                vec[block_off + i] = x
-            lift_rows.append(vec)
-        lifted = QiMatrix.from_columns(lift_rows, rows=asm.total_dim)
+        lifted = QiMatrix.from_columns(
+            pad_vectors(prim.basis.columns(), asm.graded.offset(k), asm.total_dim), rows=asm.total_dim)
         if n - k not in power_cache:
             power_cache[n - k] = lef.matrix.power(n - k)
         gram = lifted.transpose() @ q_total.gram @ (power_cache[n - k] @ lifted)
         try:
-            form = BilinearFormData(gram, -1 if k % 2 else 1)
+            form = BilinearFormData(gram, neg_one_power(k))
         except ValueError as exc:
             report.failed("primitive_polarization", {"k": k, "reason": str(exc)})
             continue

@@ -165,6 +165,17 @@ def test_weight_filtration_mismatch_is_reported():
     assert any(it.check_id == "weight_filtration_matches" for it in rep.failures())
 
 
+def test_weights_below_zero_fail_the_power_check_without_raising():
+    # N^{k+1} = 0 fails at k = -1 (N^0 = I) and asks for a negative power below
+    bundle = p1_degeneration()
+    w, f, _ = mhs_from_bigrading(bundle["bigrading"])
+    n = NilpotentOperator(bundle["nilpotents"][0])
+    for k in (-1, -3):
+        rep = check_pmhs(w, f, BilinearFormData(bundle["form"], -1), n, k)
+        assert ("n_power_vanishes", {"power": k + 1}) in [
+            (it.check_id, it.witness) for it in rep.failures()]
+
+
 def test_non_split_bigrading_detected():
     # conj(I^{1,1}) agrees with I^{1,1} only modulo the weight-0 part
     big = Bigrading(2, [

@@ -17,7 +17,6 @@ from orbhodge.orbifold import (
     SectorData,
     age,
     assemble_orbifold_cohomology,
-    assemble_polarization,
     check_kaehler_orbit,
     check_primitive_polarizations,
     check_total_pmhs,
@@ -135,6 +134,9 @@ def test_kummer_assembly_dimensions_and_degrees():
     for t, j, off, d in asm.placements:
         sector = kum.sectors[t]
         assert asm.orbifold_degree(t, j) == j + 2 * sector.age
+        assert asm.offsets[(t, j)] == off
+    form = asm.total_form()
+    assert form.gram.rows == 24 and form.symmetry_sign == 1
 
 
 def test_projective_models_reassemble_their_classical_cohomology():
@@ -179,19 +181,6 @@ def test_theorem_bigrading_matches_kummer_hodge_diamond():
     assert w == weight_filtration(NilpotentOperator(lef)).shift(-2)
 
 
-def test_assemble_polarization_middle_and_off_middle():
-    kum = kummer_model()
-    mid = assemble_polarization(kum, 2)
-    assert mid.gram.rows == 22 and mid.symmetry_sign == 1
-    ends = assemble_polarization(kum, 0)
-    assert ends.gram.rows == 2  # H^0 + H^4 as one paired block
-    cex = OrbifoldData(3, 1, [model_sector("0", 0, "0", 3),
-                              model_sector("a", 2, "b", 0),
-                              model_sector("b", 1, "a", 0)])
-    with pytest.raises(ValueError):
-        assemble_orbifold_cohomology(cex).total_form()
-
-
 def test_dimension_symmetry_alone_does_not_give_hard_lefschetz():
     # ages (2,1) point pair over a P^3-like base: every graded dimension is
     # mirror symmetric, yet no Lefschetz power connects the misplaced lines
@@ -204,6 +193,9 @@ def test_dimension_symmetry_alone_does_not_give_hard_lefschetz():
     assert dims == dims[::-1]
     assert not orbifold_hard_lefschetz(cex, [1]).ok()
     assert not hlc_check(cex).ok()
+    # without the condition the pairing blocks miss complementary degrees
+    with pytest.raises(ValueError):
+        asm.total_form()
 
 
 def test_hard_lefschetz_iff_age_symmetry_on_model_skeletons():
