@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -304,7 +305,7 @@ def cmd_age(args) -> RunReport:
     try:
         g = GroupElementAction(args.order, exponents)
     except ValueError as exc:
-        raise InputError([("--exponents", str(exc))])
+        raise InputError([("--order" if args.order < 1 else "--exponents", str(exc))])
     a = age(g)
     sl = is_sl(g)
     report = Report()
@@ -367,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, file_arg=False)
     p.set_defaults(func=cmd_age)
 
+    # argparse reads a token like -1/2 or -i as an unknown option (an error)
+    # unless it matches this; so --coeffs and --samples take negative values
+    for name in ("check-pmhs", "check-orbifold", "orbit"):
+        sub.choices[name]._negative_number_matcher = re.compile(r"^-[\d.i][\d./i+\-, ]*$")
     return parser
 
 

@@ -30,8 +30,6 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "GaussRational"]
 
 

@@ -258,12 +258,14 @@ def validate_hodge_structure(h: HodgeStructureData) -> Report:
     return report
 
 
-def filtration_from_pieces(h: HodgeStructureData) -> DecreasingFiltration:
-    """Hodge filtration F^a = sum of pieces with p >= a.  Assumes h valid."""
+def filtration_from_pieces(h: Bigraded) -> DecreasingFiltration:
+    """Hodge filtration F^a = sum of pieces with p >= a.  Assumes h valid.
+    a runs over the integers from int(min p) to int(max p) + 1, so the
+    fractional indices of a Bigrading are allowed."""
     if not h.pieces:
         return DecreasingFiltration.from_map(h.ambient_dim, {0: Subspace.zero(h.ambient_dim)})
     ps = [p for p, _, _ in h.pieces]
-    lo, hi = min(ps), max(ps)
+    lo, hi = int(min(ps)), int(max(ps))
     spaces = {}
     for a in range(lo, hi + 1):
         spaces[a] = sum_all(h.ambient_dim, [s for p, _, s in h.pieces if p >= a])
@@ -451,3 +453,28 @@ def restrict_structure(h: HodgeStructureData, sub: Subspace) -> Optional[HodgeSt
     if total != sub.dim:
         return None
     return HodgeStructureData(sub.dim, h.weight, pieces)
+
+
+def primitive_polarization(h: HodgeStructureData, prim: Subspace, gram: QiMatrix) -> tuple:
+    """Whether the form with the given gram matrix on prim's basis, of sign
+    (-1)^weight, polarizes h cut down to prim.
+
+    Returns (ok, witness): the primitive dimension when it does, else the
+    reason or the failed polarization checks.  A zero prim passes.
+    """
+    h_prim = restrict_structure(h, prim)
+    if h_prim is None:
+        return False, {"reason": "pieces do not restrict to the primitive part"}
+    validity = validate_hodge_structure(h_prim)
+    if not validity.ok():
+        return False, {"reason": "induced structure invalid",
+                       "violations": [it.check_id for it in validity.failures()]}
+    try:
+        form = BilinearFormData(gram, neg_one_power(h.weight))
+    except ValueError as exc:
+        return False, {"reason": str(exc)}
+    sub = check_polarization(h_prim, form)
+    if not sub.ok():
+        return False, {"violations": [{"check": it.check_id, "witness": it.witness}
+                                      for it in sub.failures()]}
+    return True, {"primitive_dim": prim.dim}

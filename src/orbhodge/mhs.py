@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactla import (
     DimensionMismatch,
@@ -23,7 +23,6 @@ from .exactla import (
     Subspace,
     extend_basis,
     kernel,
-    neg_one_power,
     solve_unique,
     sum_all,
 )
@@ -32,8 +31,9 @@ from .hodge import (
     BilinearFormData,
     Bigraded,
     check_polarization,
+    filtration_from_pieces,
     pieces_from_filtration,
-    restrict_structure,
+    primitive_polarization,
     validate_hodge_structure,
 )
 from .report import Report
@@ -195,19 +195,22 @@ class GradedQuotient:
         vecs = [self.project(v) for v in s.vectors()]
         return Subspace.span(self.dim, vecs)
 
-    def lift(self, coords: Sequence) -> list:
-        return self.lift_matrix.apply(list(coords))
-
 
 def induced_filtration(f: DecreasingFiltration, w: IncreasingFiltration, l: int,
-                       gr: Optional[GradedQuotient] = None) -> DecreasingFiltration:
-    """The filtration induced by f on W_l / W_{l-1}."""
-    gr = gr or GradedQuotient(w, l)
+                       gr: GradedQuotient) -> DecreasingFiltration:
+    """The filtration induced by f on W_l / W_{l-1}, modelled by gr."""
     spaces = {}
     for a in range(f.lo, f.hi + 2):
         t = f.at(a).intersect(w.at(l))
         spaces[a] = gr.project_subspace(t)
     return DecreasingFiltration.from_map(gr.dim, spaces)
+
+
+def graded_structure(w: IncreasingFiltration, f: DecreasingFiltration, l: int) -> tuple:
+    """(gr, h): the quotient W_l / W_{l-1} and the candidate weight-l pieces
+    that f induces on it, in gr's coordinates."""
+    gr = GradedQuotient(w, l)
+    return gr, pieces_from_filtration(induced_filtration(f, w, l, gr), l)
 
 
 def mhs_from_bigrading(i: Bigrading):
@@ -229,11 +232,7 @@ def mhs_from_bigrading(i: Bigrading):
     for l in range(int(min(levels)), int(max(levels)) + 1):
         w_spaces[l] = sum_all(d, [s for p, q, s in i.pieces if p + q <= l])
     w = IncreasingFiltration.from_map(d, w_spaces)
-    ps = sorted({p for p, _, _ in i.pieces})
-    f_spaces = {}
-    for a in range(int(min(ps)), int(max(ps)) + 2):
-        f_spaces[a] = sum_all(d, [s for p, _, s in i.pieces if p >= a])
-    f = DecreasingFiltration.from_map(d, f_spaces)
+    f = filtration_from_pieces(i)
 
     report = Report()
     for p, q, s in i.pieces:
@@ -248,10 +247,7 @@ def mhs_from_bigrading(i: Bigrading):
         if w.at(l).conjugate() != w.at(l) or w.at(l - 1).conjugate() != w.at(l - 1):
             report.failed("graded_weight_structure", {"l": l, "reason": "weight space not real"})
             continue
-        gr = GradedQuotient(w, l)
-        f_gr = induced_filtration(f, w, l, gr)
-        h = pieces_from_filtration(f_gr, l)
-        sub = validate_hodge_structure(h)
+        sub = validate_hodge_structure(graded_structure(w, f, l)[1])
         if sub.ok():
             report.passed("graded_weight_structure", {"l": l})
         else:
@@ -338,51 +334,18 @@ def check_pmhs(w: IncreasingFiltration, f: DecreasingFiltration, q: BilinearForm
     for l in range(0, max_l + 1):
         if w.at(k + l).dim == w.at(k + l - 1).dim:
             continue
-        gr = GradedQuotient(w, k + l)
-        f_gr = induced_filtration(f, w, k + l, gr)
-        h_gr = pieces_from_filtration(f_gr, k + l)
-
+        gr, h_gr = graded_structure(w, f, k + l)
         if w.at(k - l - 2).dim == w.at(k - l - 3).dim:
             prim = Subspace.full(gr.dim)
         else:
             low = GradedQuotient(w, k - l - 2)
-            power = n.power(l + 1)
-            rows = []
-            for j in range(gr.dim):
-                image = power.apply(gr.lift([1 if t == j else 0 for t in range(gr.dim)]))
-                rows.append(low.project(image))
-            prim = kernel(QiMatrix.from_columns(rows, rows=low.dim))
-        if prim.dim == 0:
-            report.passed("graded_polarization", {"l": l, "primitive_dim": 0})
-            continue
-
-        h_prim = restrict_structure(h_gr, prim)
-        if h_prim is None:
-            report.failed("graded_polarization",
-                          {"l": l, "reason": "pieces do not restrict to the primitive part"})
-            continue
-        sub_validity = validate_hodge_structure(h_prim)
-        if not sub_validity.ok():
-            report.failed("graded_polarization",
-                          {"l": l, "reason": "induced structure invalid",
-                           "violations": [it.check_id for it in sub_validity.failures()]})
-            continue
-
+            image = n.power(l + 1) @ gr.lift_matrix
+            prim = kernel(QiMatrix.from_columns([low.project(v) for v in image.columns()],
+                                                rows=low.dim))
         lifted = gr.lift_matrix @ prim.basis
         gram = lifted.transpose() @ q.gram @ (n.power(l) @ lifted)
-        try:
-            form = BilinearFormData(gram, neg_one_power(k + l))
-        except ValueError as exc:
-            report.failed("graded_polarization", {"l": l, "reason": str(exc)})
-            continue
-        sub_polar = check_polarization(h_prim, form)
-        if sub_polar.ok():
-            report.passed("graded_polarization", {"l": l, "primitive_dim": prim.dim})
-        else:
-            report.failed("graded_polarization",
-                          {"l": l, "violations": [
-                              {"check": it.check_id, "witness": it.witness}
-                              for it in sub_polar.failures()]})
+        ok, witness = primitive_polarization(h_gr, prim, gram)
+        (report.passed if ok else report.failed)("graded_polarization", {"l": l, **witness})
     return report
 
 
@@ -454,17 +417,12 @@ def evaluate_orbit(f: DecreasingFiltration, pt: OrbitPoint) -> DecreasingFiltrat
 def check_orbit_polarized_at(f: DecreasingFiltration, pt: OrbitPoint, k: int,
                              q: BilinearFormData) -> Report:
     """Translate F by the orbit point and check the result is a weight-k
-    Hodge structure polarized by q.  Sample points outside the upper cone
-    (some Im z_j <= 0) are allowed but flagged with a warning."""
+    Hodge structure polarized by q, which must have sign (-1)^k.  Sample
+    points outside the upper cone (some Im z_j <= 0) are allowed but flagged
+    with a warning."""
     report = Report()
     if not pt.in_upper_cone():
         report.warned("sample_in_upper_cone",
                       {"coefficients": [str(z) for z in pt.coefficients]})
-    translated = evaluate_orbit(f, pt)
-    h = pieces_from_filtration(translated, k)
-    validity = validate_hodge_structure(h)
-    report.merge(validity, prefix="hodge:")
-    if not validity.ok():
-        return report
-    report.merge(check_polarization(h, q))
+    report.merge(check_polarization(pieces_from_filtration(evaluate_orbit(f, pt), k), q))
     return report

@@ -6,8 +6,6 @@ Every builder returns exact data; the shipped JSON fixtures are serialized
 from these and the tests compare the two, so the files cannot drift.
 """
 
-from fractions import Fraction
-
 from .exactla import GaussRational, QiMatrix, Subspace, as_gauss
 from .hodge import BilinearFormData, HodgeStructureData
 from .mhs import Bigrading

@@ -35,9 +35,8 @@ from .hodge import (
     LefschetzOperator,
     hard_lefschetz_check,
     pad_vectors,
-    restrict_structure,
+    primitive_polarization,
     validate_hodge_structure,
-    check_polarization,
 )
 from .mhs import (
     Bigrading,
@@ -296,7 +295,7 @@ class OrbifoldAssembly:
     def orbifold_degree(self, sector_index: int, j: int) -> Fraction:
         return j + 2 * self.orbifold.sectors[sector_index].age
 
-    def _window_pieces(self, placements, start: int, size: int) -> dict:
+    def window_pieces(self, placements, start: int, size: int) -> dict:
         """{(p + age, q + age): span} of the pieces of the given placements,
         as vectors of the size-`size` window from global coordinate `start`."""
         collected = {}
@@ -320,10 +319,6 @@ class OrbifoldAssembly:
                         rows[dst + a][src + b] = rows[dst + a][src + b] + z * x
         return QiMatrix.from_rows(rows, cols=n)
 
-    def bigrading(self) -> Bigrading:
-        """Total (p,q)-splitting: sector pieces shifted by (age, age)."""
-        return Bigrading(self.total_dim, self._window_pieces(self.placements, 0, self.total_dim))
-
     def degree_structure(self, k: int) -> HodgeStructureData:
         """Weight-k Hodge structure data on the degree-k block, in block
         coordinates.  Integral ages required."""
@@ -334,7 +329,7 @@ class OrbifoldAssembly:
             return HodgeStructureData(0, k, {})
         block = [(t, j, off, dim) for t, j, off, dim in self.placements
                  if self.orbifold_degree(t, j) == k]
-        pieces = self._window_pieces(block, self.graded.offset(k), block_dim)
+        pieces = self.window_pieces(block, self.graded.offset(k), block_dim)
         return HodgeStructureData(block_dim, k,
                                   {(int(p), int(q)): s for (p, q), s in pieces.items()})
 
@@ -421,21 +416,22 @@ def tate_twist(h: HodgeStructureData, s: int) -> HodgeStructureData:
                               {(p + s, q + s): sub for p, q, sub in h.pieces})
 
 
-def _gates(o: OrbifoldData, report: Report) -> bool:
-    """Common preconditions: integral ages, sector dimensions, HLC."""
+def _gates(o: OrbifoldData, report: Report) -> Optional[OrbifoldAssembly]:
+    """Common preconditions: integral ages, sector dimensions, HLC.  Returns
+    the assembly when all hold, None when one fails."""
     if not o.is_sl():
         report.failed("sl_sectors",
                       {"non_integral_ages": [
                           {"sector": s.id, "age": str(s.age)}
                           for s in o.sectors if s.age.denominator != 1]})
-        return False
+        return None
     dims = validate_dims(o)
     report.merge(dims, prefix="dims:")
     if not dims.ok():
-        return False
+        return None
     hlc = hlc_check(o)
     report.merge(hlc)
-    return hlc.ok()
+    return assemble_orbifold_cohomology(o) if hlc.ok() else None
 
 
 def check_primitive_polarizations(o: OrbifoldData, coeffs: Sequence) -> Report:
@@ -443,13 +439,12 @@ def check_primitive_polarizations(o: OrbifoldData, coeffs: Sequence) -> Report:
     carries a weight-k Hodge structure, and its Lefschetz-primitive part is
     polarized by Q_k(a, b) = Q(a, L^{n-k} b)."""
     report = Report()
-    if not _gates(o, report):
+    asm = _gates(o, report)
+    if asm is None:
         return report
-    asm = assemble_orbifold_cohomology(o)
-    lef = LefschetzOperator(asm.lefschetz_matrix(coeffs), asm.graded)
+    lef = NilpotentOperator(asm.lefschetz_matrix(coeffs))
     q_total = asm.total_form()
     n = o.n
-    power_cache = {}
     for k in range(0, n + 1):
         block_dim = asm.graded.dim_at(k)
         if block_dim == 0:
@@ -463,58 +458,29 @@ def check_primitive_polarizations(o: OrbifoldData, coeffs: Sequence) -> Report:
             continue
         report.passed("degree_structure", {"k": k, "dim": block_dim})
 
-        block_cols = list(asm.graded.block_range(k))
-        all_rows = list(range(asm.total_dim))
-        if n - k + 1 not in power_cache:
-            power_cache[n - k + 1] = lef.matrix.power(n - k + 1)
-        prim = kernel(power_cache[n - k + 1].submatrix(all_rows, block_cols))
-        if prim.dim == 0:
-            report.passed("primitive_polarization", {"k": k, "primitive_dim": 0})
-            continue
-        h_prim = restrict_structure(h_k, prim)
-        if h_prim is None:
-            report.failed("primitive_polarization",
-                          {"k": k, "reason": "pieces do not restrict to the primitive part"})
-            continue
-
-        lifted = QiMatrix.from_columns(
-            pad_vectors(prim.basis.columns(), asm.graded.offset(k), asm.total_dim), rows=asm.total_dim)
-        if n - k not in power_cache:
-            power_cache[n - k] = lef.matrix.power(n - k)
-        gram = lifted.transpose() @ q_total.gram @ (power_cache[n - k] @ lifted)
-        try:
-            form = BilinearFormData(gram, neg_one_power(k))
-        except ValueError as exc:
-            report.failed("primitive_polarization", {"k": k, "reason": str(exc)})
-            continue
-        sub = check_polarization(h_prim, form)
-        if sub.ok():
-            report.passed("primitive_polarization", {"k": k, "primitive_dim": prim.dim})
-        else:
-            report.failed("primitive_polarization",
-                          {"k": k, "violations": [
-                              {"check": it.check_id, "witness": it.witness}
-                              for it in sub.failures()]})
+        inclusion = asm.graded.block_subspace(k).basis
+        prim = kernel(lef.power(n - k + 1) @ inclusion)
+        lifted = inclusion @ prim.basis
+        gram = lifted.transpose() @ q_total.gram @ (lef.power(n - k) @ lifted)
+        ok, witness = primitive_polarization(h_k, prim, gram)
+        (report.passed if ok else report.failed)("primitive_polarization", {"k": k, **witness})
     return report
 
 
 def theorem_bigrading(asm: OrbifoldAssembly) -> Bigrading:
     """The total-space bigrading I^{p,q} = (pieces of type (n-q, n-p))."""
     n = asm.orbifold.n
-    source = asm.bigrading()
-    pieces = {}
-    for a, b, s in source.pieces:
-        pieces[(n - b, n - a)] = s
-    return Bigrading(asm.total_dim, pieces)
+    pieces = asm.window_pieces(asm.placements, 0, asm.total_dim)
+    return Bigrading(asm.total_dim, {(n - b, n - a): s for (a, b), s in pieces.items()})
 
 
 def check_total_pmhs(o: OrbifoldData, coeffs: Sequence) -> Report:
     """The total orbifold cohomology with N = L carries a weight-n polarized
     mixed Hodge structure split over R."""
     report = Report()
-    if not _gates(o, report):
+    asm = _gates(o, report)
+    if asm is None:
         return report
-    asm = assemble_orbifold_cohomology(o)
     big = theorem_bigrading(asm)
     try:
         w, f, sub = mhs_from_bigrading(big)
@@ -555,9 +521,9 @@ def check_kaehler_orbit(o: OrbifoldData, samples: Optional[Sequence] = None) -> 
     filtration over positive coefficient rays, and a Q-polarized weight-n
     Hodge structure at every sample with positive imaginary parts."""
     report = Report()
-    if not _gates(o, report):
+    asm = _gates(o, report)
+    if asm is None:
         return report
-    asm = assemble_orbifold_cohomology(o)
     r = o.kaehler_basis_size
     mats = []
     for c in range(r):
@@ -589,10 +555,7 @@ def check_kaehler_orbit(o: OrbifoldData, samples: Optional[Sequence] = None) -> 
         rays.append(tuple(range(1, r + 1)))
         rays.append(tuple(range(r, 0, -1)))
     for lam in rays:
-        mixed = QiMatrix.zeros(asm.total_dim, asm.total_dim)
-        for c, weight_c in enumerate(lam):
-            mixed = mixed + mats[c].scale(weight_c)
-        w_ray = weight_filtration(NilpotentOperator(mixed)).shift(-o.n)
+        w_ray = weight_filtration(NilpotentOperator(asm.lefschetz_matrix(lam))).shift(-o.n)
         if w_ray == w:
             report.passed("weight_filtration_constant", {"ray": list(lam)})
         else:

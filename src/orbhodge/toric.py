@@ -97,7 +97,7 @@ class LatticePolytope:
         for i, v in enumerate(verts):
             tight = [f.normal for f in facets if i in f.vertex_indices]
             if not tight or rank(QiMatrix.from_rows([list(t) for t in tight], cols=dim)) != dim:
-                raise DegeneratePolytope(f"listed point {v} is not a vertex")
+                raise DegeneratePolytope(f"listed point ({', '.join(map(str, v))}) is not a vertex")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "facets", facets)

@@ -3,11 +3,13 @@ resolution, and the documented example invocations."""
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +139,28 @@ def test_age_examples_match_the_documented_output():
         assert out.strip() == want
     code, _, err = run(["age", "--order", "4", "--exponents", "4"])
     assert code == 2 and "exponent" in err
+    assert run(["age", "--order", "0", "--exponents", "1"]) == \
+        (2, "", "invalid input at --order: order must be positive\n")
+
+
+def test_negative_values_after_coeffs_and_samples():
+    # -1/2 and -i read as values, exactly as they do after "="
+    assert run(["check-orbifold", "p2", "--coeffs", "-1/2"]) == \
+        run(["check-orbifold", "p2", "--coeffs=-1/2"])
+    assert run(["orbit", "p1", "--samples", "-i", "--json"]) == \
+        run(["orbit", "p1", "--samples=-i", "--json"])
+    code, out, err = run(["check-orbifold", "p1xp1", "--coeffs", "1", "-1/2"])
+    assert code in (0, 1) and err == "" and out.startswith("check-orbifold: ")
+    # an unknown option is still a usage error
+    with pytest.raises(SystemExit):
+        run(["orbit", "p1", "--samples", "i", "-x"])
+
+
+def test_dual_names_a_listed_point_that_is_not_a_vertex(tmp_path):
+    square = json.loads(fixture_text("square"))
+    square["vertices"].append([0, 0])
+    assert run(["dual", write_doc(tmp_path, square)]) == \
+        (2, "", "invalid input at $.vertices: listed point (0, 0) is not a vertex\n")
 
 
 def test_fixture_name_resolution_and_invalid_inputs(tmp_path):
@@ -221,9 +245,6 @@ def test_form_sign_against_the_weight_and_negative_weights(tmp_path):
 FUZZ_FIXTURES = ("torus_h1", "p1", "p1_negQ", "p2", "p1xp1")
 FUZZ_GRAMS = ([[0, 1], [-1, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]])
 RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
-# argparse reads "-1/2", unlike "-1", as an option, so negative values stay integers
-COEFFS = st.one_of(st.builds(Fraction, st.integers(0, 3), st.integers(1, 2)),
-                   st.builds(Fraction, st.integers(-3, -1)))
 AGES = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
 
 
@@ -267,10 +288,24 @@ def cli_cases(draw):
         doc["sectors"].append(model_sector_json(
             sector_id, draw(AGES), draw(st.sampled_from(ids)), draw(st.integers(0, doc["n"])), r))
     if draw(st.booleans()):
-        coeffs = draw(st.lists(COEFFS, min_size=r, max_size=r))
+        coeffs = draw(st.lists(RATIONALS, min_size=r, max_size=r))
         return ["check-orbifold", "--coeffs", *map(str, coeffs)], doc
     samples = draw(st.lists(st.tuples(*[gauss] * r), min_size=1, max_size=2))
     return ["orbit", "--samples=" + " ".join(",".join(map(gauss_text, z)) for z in samples)], doc
+
+
+def assert_report_or_invalid_input(code, err, path):
+    """Exit 0 or 1 with nothing on stderr, or exit 2 naming where the input
+    went wrong: a JSON path ($...) or an option (--...)."""
+    if code == 2:
+        assert err.startswith(f"invalid input at {path}"), err
+    else:
+        assert code in (0, 1) and err == "", (code, err)
+
+
+def run_on_document(argv, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        return run([argv[0], write_doc(tmp, doc), *argv[1:]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -278,10 +313,47 @@ def cli_cases(draw):
 @example(case=(["check-pmhs"], p1_with_weight(-3)))
 @given(case=cli_cases())
 def test_fuzzed_documents_end_in_a_report_or_invalid_input(case):
-    argv, doc = case
-    with tempfile.TemporaryDirectory() as tmp:
-        code, _, err = run([argv[0], write_doc(tmp, doc), *argv[1:]])
-    if code == 2:
-        assert err.startswith("invalid input at $"), err
-    else:
-        assert code in (0, 1) and err == "", (code, err)
+    code, _, err = run_on_document(*case)
+    assert_report_or_invalid_input(code, err, "$")
+
+
+CUBE = {"kind": "polytope", "dim": 3,
+        "vertices": [list(v) for v in itertools.product((-1, 1), repeat=3)]}
+
+
+@st.composite
+def polytope_cases(draw):
+    """The square or the 3-cube with one or two vertices added, dropped,
+    duplicated or moved, or its dim changed; at most 8 vertices, dim <= 3."""
+    doc = draw(st.sampled_from([json.loads(fixture_text("square")), CUBE]))
+    dim, verts = doc["dim"], [list(v) for v in doc["vertices"]]
+    for mutation in draw(st.lists(st.sampled_from(["add", "drop", "duplicate", "move", "dim"]),
+                                  min_size=1, max_size=2)):
+        if mutation == "add" and len(verts) < 8:
+            verts.append(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
+        elif mutation == "duplicate" and len(verts) < 8:
+            verts.append(list(draw(st.sampled_from(verts))))
+        elif mutation == "drop":
+            verts.pop(draw(st.integers(0, len(verts) - 1)))
+        elif mutation == "move":
+            v = draw(st.sampled_from(verts))
+            v[draw(st.integers(0, len(v) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+        elif mutation == "dim":
+            dim = draw(st.integers(0, 3))
+    return [draw(st.sampled_from(["dual", "hlc"]))], {"kind": "polytope", "dim": dim,
+                                                       "vertices": verts}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=polytope_cases())
+def test_fuzzed_polytopes_end_in_a_report_or_invalid_input(case):
+    code, _, err = run_on_document(*case)
+    assert_report_or_invalid_input(code, err, "$")
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(-2, 6), exponents=st.lists(st.integers(-2, 8), max_size=4))
+def test_fuzzed_age_arguments_end_in_a_report_or_invalid_input(order, exponents):
+    code, _, err = run(["age", f"--order={order}",
+                        "--exponents=" + ",".join(map(str, exponents))])
+    assert_report_or_invalid_input(code, err, "--")
