@@ -369,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_age)
 
     # argparse reads a token like -1/2 or -i as an unknown option (an error)
-    # unless it matches this; so --coeffs and --samples take negative values
-    for name in ("check-pmhs", "check-orbifold", "orbit"):
+    # unless it matches this; so --coeffs, --samples and --exponents take
+    # negative values
+    for name in ("check-pmhs", "check-orbifold", "orbit", "age"):
         sub.choices[name]._negative_number_matcher = re.compile(r"^-[\d.i][\d./i+\-, ]*$")
     return parser
 

@@ -1,32 +1,31 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
 Scalars are complex numbers a + b*i with rational a, b (GaussRational, built
-on fractions.Fraction).  Matrices are immutable and row-major (QiMatrix);
-column spans of matrices are Subspace values kept in a canonical reduced
+on fractions.Fraction).  A matrix (QiMatrix) is immutable and has one stored
+form: a positive common denominator den and tuples of int rows re and im,
+entry (i, j) being (re[i][j] + im[i][j]*i) / den, with im None when every
+imaginary part is zero, the common case (nilpotents, bilinear forms and
+Lefschetz matrices are real).  The form is canonical, den and the entries
+having gcd 1, so matrices are equal exactly when their stored forms are.
+Column spans of matrices are Subspace values kept in a canonical reduced
 column echelon form, so two subspaces are equal exactly when their stored
 bases are equal.  There is no floating point anywhere in this module.
 
-The arithmetic runs on Python ints.  Each row of an input (for a product,
-each row of the left factor and each column of the right one) is scaled by
-the lcm of its denominators: a real row becomes a list of ints, a row with
-any imaginary part an int list of real parts and one of imaginary parts,
-over Z[i].  The real branch is taken whenever every imaginary part of the
-input is zero, which is the common case (nilpotents, bilinear forms and
-Lefschetz matrices are real).  Elimination is fraction-free Gauss-Jordan
-that divides each updated row by its integer content; determinants and
-leading principal minors come from Bareiss elimination (Bareiss, Math.
-Comp. 22, 1968), whose k-th pivot is the k-th leading principal minor.  A
-result is normalised once, at the end: every output entry is one reduced
-Fraction per real or imaginary part, so rank, containment and positivity
-verdicts are exactly those of arithmetic on reduced fractions.
+Products, sums, scaling and elimination run on the ints, over Z or, when an
+input has an imaginary part, over Z[i]; GaussRational values are made only
+by the accessors (entry, row_list, to_rows, column, columns, entries).
+Elimination is fraction-free Gauss-Jordan that divides each updated row by
+its integer content; determinants and leading principal minors come from
+Bareiss elimination (Bareiss, Math. Comp. 22, 1968), whose k-th pivot is the
+k-th leading principal minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm, prod
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -152,8 +151,17 @@ def neg_one_power(k: int) -> int:
 # ---------------------------------------------------------------------------
 # the integer core
 #
-# An integer form (re, im, scales) stands for the vectors
-# (re[k] + i*im[k]) / scales[k]; im is None on the real branch.
+# Integer rows re, im (im None on the real branch) over a positive scale
+# stand for the vectors (re[k] + i*im[k]) / scale.
+
+
+def _parts(x: Scalar) -> tuple:
+    """(re, im) of an exact scalar, each an int or a Fraction."""
+    if isinstance(x, GaussRational):
+        return x.re, x.im
+    if isinstance(x, (int, Fraction)):
+        return x, 0
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def _quotient(re: int, im: int, den: int) -> GaussRational:
@@ -164,42 +172,45 @@ def _quotient(re: int, im: int, den: int) -> GaussRational:
                          Fraction(im, den) if im else _FRACTION_ZERO)
 
 
-def _int_form(vectors: Sequence[Sequence[GaussRational]]) -> tuple:
-    """Integer form of GaussRational vectors, each scaled by the lcm of its
-    denominators."""
-    re_rows, scales = [], []
-    if all(not x.im for v in vectors for x in v):
-        for v in vectors:
-            parts = [x.re for x in v]
-            dens = [f.denominator for f in parts]
-            s = lcm(*dens)
-            if s == 1:
-                re_rows.append([f.numerator for f in parts])
-            else:
-                re_rows.append([f.numerator * (s // d) for f, d in zip(parts, dens)])
-            scales.append(s)
-        return re_rows, None, scales
-    im_rows = []
-    for v in vectors:
-        s = lcm(*[x.re.denominator for x in v], *[x.im.denominator for x in v])
-        re_rows.append([x.re.numerator * (s // x.re.denominator) for x in v])
-        im_rows.append([x.im.numerator * (s // x.im.denominator) for x in v])
-        scales.append(s)
-    return re_rows, im_rows, scales
+def _transpose(rows, ncols: int) -> list:
+    """The columns of int rows of length ncols, also when there is no row."""
+    return list(zip(*rows)) if rows else [()] * ncols
 
 
-def _eliminate(re: list, im: Optional[list], ncols: int, reduced: bool = True) -> list:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _times(x, y_columns) -> list:
+    """Integer matrix product of the rows x and the matrix with columns y_columns."""
+    return [[sum(map(mul, r, c)) for c in y_columns] for r in x]
 
-    Returns the pivot columns.  Afterwards row r < len(pivots) has a positive
-    real pivot p_r in column pivots[r], integer content 1 and (when reduced)
-    zeros in every other pivot column, so row r / p_r is row r of the
-    reduced row echelon form; the remaining rows are zero.  Without reduced
-    only the rows below each pivot are cleared, which is enough for a rank.
+
+def _plus(x, y, sign: int = 1) -> list:
+    return [[a + sign * b for a, b in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _over(m: "QiMatrix", den: int) -> tuple:
+    """m's integer rows over den, a multiple of m.den."""
+    f = den // m.den
+    if f == 1:
+        return m.re, m.im
+    re = [[f * x for x in r] for r in m.re]
+    return re, None if m.im is None else [[f * x for x in r] for r in m.im]
+
+
+def _eliminate(re, im, ncols: int, reduced: bool = True) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns the pivot columns and the eliminated rows re, im, in new outer
+    lists; the rows passed in are never changed.  Row r < len(pivots) has a
+    positive real pivot p_r in column pivots[r], integer content 1 and (when
+    reduced) zeros in every other pivot column, so row r / p_r is row r of
+    the reduced row echelon form; the remaining rows are zero.  Without
+    reduced only the rows below each pivot are cleared, which is enough for
+    a rank.
     """
+    re = list(re)
     if im is None:
-        return _eliminate_real(re, ncols, reduced)
-    return _eliminate_gauss(re, im, ncols, reduced)
+        return _eliminate_real(re, ncols, reduced), re, None
+    im = list(im)
+    return _eliminate_gauss(re, im, ncols, reduced), re, im
 
 
 def _eliminate_real(rows: list, ncols: int, reduced: bool) -> list:
@@ -272,15 +283,17 @@ def _eliminate_gauss(re: list, im: list, ncols: int, reduced: bool) -> list:
     return pivots
 
 
-def _bareiss(re: list, im: Optional[list], pivoting: bool):
-    """Bareiss elimination of a square integer matrix, replacing its rows.
+def _bareiss(m: "QiMatrix", pivoting: bool):
+    """Bareiss elimination of the integer rows of a square matrix m.
 
     Yields (pivot re, pivot im, sign) at each step: the k-th pivot is the
-    k-th leading principal minor of the matrix with its rows permuted by the
-    swaps so far, whose parity sign records.  Without pivoting the rows are
-    never swapped.  Stops after the first zero pivot.
+    k-th leading principal minor of the integer rows re + i*im with the rows
+    permuted by the swaps so far, whose parity sign records.  Without
+    pivoting the rows are never swapped.  Stops after the first zero pivot.
     """
-    n = len(re)
+    n = m.rows
+    re = [list(r) for r in m.re]
+    im = None if m.im is None else [list(r) for r in m.im]
     sign, u, v = 1, 1, 0  # u + v*i is the previous pivot
     for k in range(n):
         if pivoting and not (re[k][k] or (im and im[k][k])):
@@ -316,133 +329,147 @@ def _bareiss(re: list, im: Optional[list], pivoting: bool):
         u, v = pr, pi
 
 
-def _solution_row(re: list, im: Optional[list], r: int, p: int, cols) -> list:
-    """Entries cols of reduced row r with pivot p, as GaussRationals."""
-    row = re[r]
-    if im is None:
-        return [_quotient(row[j], 0, p) for j in cols]
-    irow = im[r]
-    return [_quotient(row[j], irow[j], p) for j in cols]
-
 
 @dataclass(frozen=True)
 class QiMatrix:
-    """Immutable matrix with GaussRational entries, stored row-major."""
+    """Immutable matrix (re + i*im) / den in the canonical integer form."""
 
     rows: int
     cols: int
-    entries: tuple
+    den: int
+    re: tuple
+    im: Optional[tuple]
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, den: int, re, im) -> "QiMatrix":
+        """The canonical form of (re + i*im) / den, for a positive den."""
+        if im is not None and not any(map(any, im)):
+            im = None
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+            if g > 1:
+                den //= g
+                re = [[x // g for x in r] for r in re]
+                im = None if im is None else [[x // g for x in r] for r in im]
+        return cls(rows, cols, den, tuple(map(tuple, re)),
+                   None if im is None else tuple(map(tuple, im)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "QiMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if cols is None:
-                cols = 0
-            return cls(0, cols, ())
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else cols or 0
         if cols is not None and cols != ncols:
             raise DimensionMismatch("row length disagrees with declared column count")
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(as_gauss(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged rows")
+        parts = [[_parts(x) for x in r] for r in rows]
+        den = lcm(*(y.denominator for r in parts for x in r for y in x))
+        re = [[a.numerator * (den // a.denominator) for a, _ in r] for r in parts]
+        im = [[b.numerator * (den // b.denominator) for _, b in r] for r in parts]
+        return cls._make(len(rows), ncols, den, re, im)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "QiMatrix":
         if not columns:
-            return cls(rows or 0, 0, ())
+            return cls.zeros(rows or 0, 0)
         nrows = len(columns[0])
         if rows is not None and rows != nrows:
             raise DimensionMismatch("column length disagrees with declared row count")
-        return cls.from_rows([[columns[j][i] for j in range(len(columns))] for i in range(nrows)])
+        return cls.from_rows([[c[i] for c in columns] for i in range(nrows)], cols=len(columns))
 
     @classmethod
     def identity(cls, n: int) -> "QiMatrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return cls(n, n, 1, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), None)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QiMatrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return cls(rows, cols, 1, ((0,) * cols,) * rows, None)
 
     @classmethod
     def diagonal(cls, diag: Sequence[Scalar]) -> "QiMatrix":
         n = len(diag)
-        return cls(n, n, tuple(as_gauss(diag[i]) if i == j else ZERO for i in range(n) for j in range(n)))
-
-    @cached_property
-    def _row_form(self) -> tuple:
-        """Integer form of the rows; never mutated."""
-        return _int_form(self.to_rows())
-
-    @cached_property
-    def _col_form(self) -> tuple:
-        """Integer form of the columns; never mutated."""
-        return _int_form(self.columns())
+        return cls.from_rows([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     def entry(self, i: int, j: int) -> GaussRational:
-        return self.entries[i * self.cols + j]
+        return _quotient(self.re[i][j], 0 if self.im is None else self.im[i][j], self.den)
 
     def row_list(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        im = (0,) * self.cols if self.im is None else self.im[i]
+        return [_quotient(x, y, self.den) for x, y in zip(self.re[i], im)]
 
     def to_rows(self) -> list:
         return [self.row_list(i) for i in range(self.rows)]
 
     def column(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return [self.entry(i, j) for i in range(self.rows)]
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
+    @property
+    def entries(self) -> tuple:
+        """Every entry, row by row."""
+        return tuple(x for i in range(self.rows) for x in self.row_list(i))
+
     def transpose(self) -> "QiMatrix":
-        return QiMatrix(self.cols, self.rows,
-                        tuple(self.entries[i * self.cols + j]
-                              for j in range(self.cols) for i in range(self.rows)))
+        return QiMatrix(self.cols, self.rows, self.den, tuple(_transpose(self.re, self.cols)),
+                        None if self.im is None else tuple(_transpose(self.im, self.cols)))
 
     def conj(self) -> "QiMatrix":
-        return QiMatrix(self.rows, self.cols, tuple(x.conj() for x in self.entries))
+        if self.im is None:
+            return self
+        return QiMatrix(self.rows, self.cols, self.den, self.re,
+                        tuple(tuple(-x for x in r) for r in self.im))
 
     def conj_transpose(self) -> "QiMatrix":
         return self.transpose().conj()
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.entries)
+        return self.im is None and not any(map(any, self.re))
 
     def is_real(self) -> bool:
-        return all(x.is_real() for x in self.entries)
+        return self.im is None
 
     def __add__(self, other: "QiMatrix") -> "QiMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return QiMatrix(self.rows, self.cols,
-                        tuple(a + b for a, b in zip(self.entries, other.entries)))
+        den = lcm(self.den, other.den)
+        (ar, ai), (br, bi) = _over(self, den), _over(other, den)
+        im = ai if bi is None else bi if ai is None else _plus(ai, bi)
+        return QiMatrix._make(self.rows, self.cols, den, _plus(ar, br), im)
 
     def __sub__(self, other: "QiMatrix") -> "QiMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QiMatrix":
-        return QiMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
+        return QiMatrix(self.rows, self.cols, self.den, tuple(tuple(-x for x in r) for r in self.re),
+                        None if self.im is None else tuple(tuple(-x for x in r) for r in self.im))
 
     def scale(self, c: Scalar) -> "QiMatrix":
-        c = as_gauss(c)
-        return QiMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
+        a, b = _parts(c)
+        d = lcm(a.denominator, b.denominator)
+        cr, ci = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        if self.im is None:
+            re = [[cr * x for x in r] for r in self.re]
+            im = [[ci * x for x in r] for r in self.re]
+        else:
+            re = [[cr * x - ci * y for x, y in zip(r, s)] for r, s in zip(self.re, self.im)]
+            im = [[cr * y + ci * x for x, y in zip(r, s)] for r, s in zip(self.re, self.im)]
+        return QiMatrix._make(self.rows, self.cols, self.den * d, re, im)
 
     def __matmul__(self, other: "QiMatrix") -> "QiMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        are, aim, ls = self._row_form
-        bre, bim, ms = other._col_form
-        if aim is None and bim is None:
-            out = tuple(_quotient(sum(map(mul, a, b)), 0, l * m)
-                        for a, l in zip(are, ls) for b, m in zip(bre, ms))
-        else:
-            out = tuple(_quotient(*_dot(a, ai, b, bi), l * m)
-                        for a, ai, l in zip(are, aim or [None] * self.rows, ls)
-                        for b, bi, m in zip(bre, bim or [None] * other.cols, ms))
-        return QiMatrix(self.rows, other.cols, out)
+        ar, ai = self.re, self.im
+        br = _transpose(other.re, other.cols)
+        bi = None if other.im is None else _transpose(other.im, other.cols)
+        re, im = _times(ar, br), None
+        if ai is not None and bi is not None:
+            re, im = _plus(re, _times(ai, bi), -1), _plus(_times(ar, bi), _times(ai, br))
+        elif bi is not None:
+            im = _times(ar, bi)
+        elif ai is not None:
+            im = _times(ai, br)
+        return QiMatrix._make(self.rows, other.cols, self.den * other.den, re, im)
 
     def power(self, k: int) -> "QiMatrix":
         if self.rows != self.cols:
@@ -457,112 +484,111 @@ class QiMatrix:
     def apply(self, vector: Sequence[Scalar]) -> list:
         if len(vector) != self.cols:
             raise DimensionMismatch("vector length disagrees with matrix columns")
-        (b,), bim, (m,) = _int_form([[as_gauss(x) for x in vector]])
-        are, aim, ls = self._row_form
-        if aim is None and bim is None:
-            return [_quotient(sum(map(mul, a, b)), 0, l * m) for a, l in zip(are, ls)]
-        bi = bim[0] if bim else None
-        return [_quotient(*_dot(a, ai, b, bi), l * m)
-                for a, ai, l in zip(are, aim or [None] * self.rows, ls)]
+        return (self @ QiMatrix.from_columns([vector], rows=self.cols)).column(0)
 
     def hstack(self, other: "QiMatrix") -> "QiMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("row counts differ")
-        a, b, ca, cb = self.entries, other.entries, self.cols, other.cols
-        out = []
-        for i in range(self.rows):
-            out.extend(a[i * ca:(i + 1) * ca])
-            out.extend(b[i * cb:(i + 1) * cb])
-        return QiMatrix(self.rows, ca + cb, tuple(out))
+        den = lcm(self.den, other.den)
+        (ar, ai), (br, bi) = _over(self, den), _over(other, den)
+        im = None
+        if ai is not None or bi is not None:
+            im = [(*a, *b) for a, b in zip(ai or [(0,) * self.cols] * self.rows,
+                                           bi or [(0,) * other.cols] * other.rows)]
+        return QiMatrix._make(self.rows, self.cols + other.cols, den,
+                              [(*a, *b) for a, b in zip(ar, br)], im)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QiMatrix":
-        return QiMatrix(len(row_idx), len(col_idx),
-                        tuple(self.entries[i * self.cols + j] for i in row_idx for j in col_idx))
+        def pick(rows):
+            return [[rows[i][j] for j in col_idx] for i in row_idx]
+        return QiMatrix._make(len(row_idx), len(col_idx), self.den, pick(self.re),
+                              None if self.im is None else pick(self.im))
 
     def det(self) -> GaussRational:
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        re, im, scales = _rows_of(self)
         pr, pi, sign = 1, 0, 1  # the empty matrix has determinant 1
-        for pr, pi, sign in _bareiss(re, im, pivoting=True):
-            pass  # the last pivot is the determinant of the scaled rows
-        return _quotient(sign * pr, sign * pi, prod(scales))
+        for pr, pi, sign in _bareiss(self, pivoting=True):
+            pass  # the last pivot is the determinant of the integer rows
+        return _quotient(sign * pr, sign * pi, self.den ** self.rows)
 
     def inverse(self) -> "QiMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        re, im, scales = self._row_form
-        unit = [[s if i == j else 0 for j in range(n)] for i, s in enumerate(scales)]
-        aug_re = [row + e for row, e in zip(re, unit)]
-        aug_im = None if im is None else [row + [0] * n for row in im]
-        pivots = _eliminate(aug_re, aug_im, 2 * n)
+        # [re + i*im | den * 1] reduces to [p_r * 1 | p_r * inverse] row by row
+        unit = [[self.den if i == j else 0 for j in range(n)] for i in range(n)]
+        aug_re = [(*r, *e) for r, e in zip(self.re, unit)]
+        aug_im = None if self.im is None else [(*r, *(0,) * n) for r in self.im]
+        pivots, re, im = _eliminate(aug_re, aug_im, 2 * n)
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        rows = [_solution_row(aug_re, aug_im, r, aug_re[r][r], range(n, 2 * n)) for r in range(n)]
-        return QiMatrix(n, n, tuple(x for row in rows for x in row))
+        return _scaled_rows(n, [r[n:] for r in re], None if im is None else [r[n:] for r in im],
+                            [re[r][r] for r in range(n)])
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in self.row_list(i)) for i in range(self.rows)) + "]"
 
 
-def _dot(a: list, ai: Optional[list], b: list, bi: Optional[list]) -> tuple:
-    """(re, im) of the Gaussian integer dot product (a + ai*i).(b + bi*i)."""
-    re = sum(map(mul, a, b))
-    im = 0
-    if ai is not None:
-        im += sum(map(mul, ai, b))
-        if bi is not None:
-            re -= sum(map(mul, ai, bi))
-    if bi is not None:
-        im += sum(map(mul, a, bi))
-    return re, im
+def _scaled_rows(ncols: int, re: list, im: Optional[list], scales: list) -> QiMatrix:
+    """The matrix whose row r is (re[r] + i*im[r]) / scales[r], for positive scales."""
+    den = lcm(*scales)
+    factors = [den // s for s in scales]
 
-
-def _rows_of(m: QiMatrix) -> tuple:
-    """m's cached row form with fresh outer lists.  Elimination replaces and
-    swaps rows but never changes one, so the cache stays intact."""
-    re, im, scales = m._row_form
-    return list(re), None if im is None else list(im), scales
+    def lift(rows):
+        return [[f * x for x in r] for f, r in zip(factors, rows)]
+    return QiMatrix._make(len(re), ncols, den, lift(re), None if im is None else lift(im))
 
 
 def rank(m: QiMatrix) -> int:
-    re, im, _ = _rows_of(m)
-    return len(_eliminate(re, im, m.cols, reduced=False))
+    return len(_eliminate(m.re, m.im, m.cols, reduced=False)[0])
 
 
 def kernel(m: QiMatrix) -> "Subspace":
     """Null space of m, as a subspace of the domain (dimension = m.cols)."""
-    re, im, _ = _rows_of(m)
-    pivots = _eliminate(re, im, m.cols)
+    pivots, re, im = _eliminate(m.re, m.im, m.cols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = _quotient(-re[r][f], 0 if im is None else -im[r][f], re[r][p])
-        vectors.append(v)
-    return Subspace.span(m.cols, vectors)
+    scale = lcm(*(re[r][p] for r, p in enumerate(pivots)))
+    factors = [scale // re[r][p] for r, p in enumerate(pivots)]
+
+    def vectors(rows, free_value):
+        # scale times the kernel vector of each free column f: 1 at f, and
+        # minus entry f of reduced row r over its pivot at pivots[r]
+        out = []
+        for f in (j for j in range(m.cols) if j not in pivot_set):
+            v = [0] * m.cols
+            v[f] = free_value
+            for r, p in enumerate(pivots):
+                v[p] = -rows[r][f] * factors[r]
+            out.append(v)
+        return out
+    vre = vectors(re, scale)
+    if im is None:
+        return Subspace.span(m.cols, vre)
+    # span takes exact scalars, so Z[i] vectors go as GaussRationals
+    gauss = QiMatrix._make(len(vre), m.cols, scale, vre, vectors(im, 0))
+    return Subspace.span(m.cols, gauss.to_rows())
 
 
 def image(m: QiMatrix) -> "Subspace":
     """Column space of m, as a subspace of the codomain."""
-    return Subspace.span(m.rows, m.columns())
+    return Subspace.from_matrix(m)
 
 
 def solve_unique(a: QiMatrix, b: Sequence[Scalar]) -> list:
     """Solve a x = b where a has full column rank; raises if inconsistent."""
     if len(b) != a.rows:
         raise DimensionMismatch("right-hand side length disagrees")
-    re, im, _ = _int_form([a.row_list(i) + [as_gauss(b[i])] for i in range(a.rows)])
-    pivots = _eliminate(re, im, a.cols + 1)
-    if a.cols in pivots:
+    n = a.cols
+    aug = a.hstack(QiMatrix.from_columns([b], rows=a.rows))
+    pivots, re, im = _eliminate(aug.re, aug.im, n + 1)
+    if n in pivots:
         raise ValueError("inconsistent system")
-    if len(pivots) != a.cols:
+    if len(pivots) != n:
         raise ValueError("solution is not unique")
-    return [_solution_row(re, im, r, re[r][r], (a.cols,))[0] for r in range(a.cols)]
+    x = _scaled_rows(1, [r[n:] for r in re[:n]], None if im is None else [r[n:] for r in im[:n]],
+                     [re[r][r] for r in range(n)])
+    return x.column(0)
 
 
 @dataclass(frozen=True)
@@ -580,33 +606,21 @@ class Subspace:
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
         """Canonical subspace spanned by the given vectors (may be dependent)."""
-        vecs = [[as_gauss(x) for x in v] for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector length disagrees with ambient dimension")
-        re, im, _ = _int_form(vecs)
-        pivots = _eliminate(re, im, ambient_dim)
-        k = len(pivots)
-        del re[k:]
-        if im is not None:
-            del im[k:]
-            if not any(map(any, im)):
-                im = None
-        scales = [re[r][p] for r, p in enumerate(pivots)]
-        if im is None:
-            entries = tuple(_quotient(re[j][i], 0, scales[j])
-                            for i in range(ambient_dim) for j in range(k))
-        else:
-            entries = tuple(_quotient(re[j][i], im[j][i], scales[j])
-                            for i in range(ambient_dim) for j in range(k))
-        basis = QiMatrix(ambient_dim, k, entries)
-        # the reduced rows are the basis columns' integer form already
-        basis.__dict__["_col_form"] = (re, im, scales)
-        return cls(ambient_dim, basis)
+        vectors = list(vectors)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise DimensionMismatch("vector length disagrees with ambient dimension")
+        return cls.from_matrix(QiMatrix.from_columns(vectors, rows=ambient_dim))
 
     @classmethod
     def from_matrix(cls, m: QiMatrix) -> "Subspace":
-        return cls.span(m.rows, m.columns())
+        """Canonical subspace spanned by the columns of m."""
+        pivots, re, im = _eliminate(_transpose(m.re, m.cols),
+                                    None if m.im is None else _transpose(m.im, m.cols), m.rows)
+        k = len(pivots)
+        # reduced row r over its pivot is basis vector r
+        rows = _scaled_rows(m.rows, re[:k], None if im is None else im[:k],
+                            [re[r][p] for r, p in enumerate(pivots)])
+        return cls(m.rows, rows.transpose())
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -629,12 +643,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length disagrees with ambient dimension")
-        stacked = self.basis.hstack(QiMatrix.from_columns([list(v)], rows=self.ambient_dim))
-        return rank(stacked) == self.dim
-
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         if other.dim > self.dim:
@@ -650,15 +658,11 @@ class Subspace:
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
-        stacked = self.basis.hstack(-other.basis)
-        ker = kernel(stacked)
-        vectors = []
-        for coeffs in ker.basis.columns():
-            vectors.append(self.basis.apply(coeffs[: self.dim]))
-        return Subspace.span(self.ambient_dim, vectors)
+        ker = kernel(self.basis.hstack(-other.basis))
+        return Subspace.from_matrix(self.basis @ ker.basis.submatrix(range(self.dim), range(ker.dim)))
 
     def conjugate(self) -> "Subspace":
-        return Subspace.span(self.ambient_dim, [[x.conj() for x in v] for v in self.vectors()])
+        return Subspace.from_matrix(self.basis.conj())
 
     def apply(self, m: QiMatrix) -> "Subspace":
         """Image of this subspace under the linear map m."""
@@ -666,22 +670,18 @@ class Subspace:
             raise DimensionMismatch("map domain disagrees with ambient dimension")
         return Subspace.from_matrix(m @ self.basis)
 
-    def coordinates_of(self, v: Sequence[Scalar]) -> list:
-        """Coordinates of v in the canonical basis; raises if v is outside."""
-        return solve_unique(self.basis, list(v))
-
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
 
 
 def sum_all(ambient_dim: int, spaces: Iterable[Subspace]) -> Subspace:
-    vectors = []
+    basis = QiMatrix.zeros(ambient_dim, 0)
     for s in spaces:
         if s.ambient_dim != ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
-        vectors.extend(s.vectors())
-    return Subspace.span(ambient_dim, vectors)
+        basis = basis.hstack(s.basis)
+    return Subspace.from_matrix(basis)
 
 
 def extend_basis(inner: Subspace, outer: Subspace) -> list:
@@ -696,10 +696,9 @@ def extend_basis(inner: Subspace, outer: Subspace) -> list:
     """
     if not outer.contains(inner):
         raise ValueError("inner subspace is not contained in outer subspace")
-    re, im, _ = _int_form(inner.basis.hstack(outer.basis).to_rows())
-    pivots = _eliminate(re, im, inner.dim + outer.dim, reduced=False)
-    outer_vectors = outer.vectors()
-    return [outer_vectors[c - inner.dim] for c in pivots if c >= inner.dim]
+    m = inner.basis.hstack(outer.basis)
+    pivots = _eliminate(m.re, m.im, m.cols, reduced=False)[0]
+    return [outer.basis.column(c - inner.dim) for c in pivots if c >= inner.dim]
 
 
 def first_nonpositive_minor(h: QiMatrix) -> Optional[int]:
@@ -709,15 +708,14 @@ def first_nonpositive_minor(h: QiMatrix) -> Optional[int]:
     which by the Sylvester criterion is equivalent to h being positive
     definite.  h must be Hermitian, so its leading principal minors are
     real.  They are read off as the pivots of Bareiss elimination without
-    row swaps, on the rows scaled to integers by positive factors, which
-    keeps every sign; a zero minor already refutes positive definiteness.
+    row swaps, on the integer rows den * h, which keeps every sign; a zero
+    minor already refutes positive definiteness.
     """
     if h.rows != h.cols:
         raise DimensionMismatch("positivity of a non-square matrix")
     if h != h.conj_transpose():
         raise NotHermitian("matrix is not Hermitian")
-    re, im, _ = _rows_of(h)
-    for k, (pr, pi, _) in enumerate(_bareiss(re, im, pivoting=False)):
+    for k, (pr, pi, _) in enumerate(_bareiss(h, pivoting=False)):
         if pi:
             raise NotHermitian("elimination produced a non-real pivot")
         if pr <= 0:

@@ -126,15 +126,8 @@ def weight_filtration(n: NilpotentOperator) -> IncreasingFiltration:
             return Subspace.full(d)
         return kernels[t]
 
-    spaces = {}
-    for l in range(-m + 1, m):
-        vectors = []
-        for j in range(0, m + 1):
-            k = ker_at(l + 2 * j + 1)
-            if k.is_zero():
-                continue
-            vectors.extend(k.apply(powers[j]).vectors())
-        spaces[l] = Subspace.span(d, vectors)
+    spaces = {l: sum_all(d, [ker_at(l + 2 * j + 1).apply(powers[j]) for j in range(m + 1)])
+              for l in range(-m + 1, m)}
     w = IncreasingFiltration.from_map(d, spaces)
 
     for l in range(-m, m + 1):

@@ -87,7 +87,7 @@ def p1_degeneration(flip_form: bool = False):
 
 # T^4 = C^2/lattice with z1 = x1 + i x2, z2 = x3 + i x4; the involution is
 # z -> -z.  Invariant forms: all of H^0, H^2, H^4.  H^2 basis order:
-_KUMMER_H2 = ("e12", "e13", "e14", "e23", "e24", "e34")
+# e12, e13, e14, e23, e24, e34.
 
 # holomorphic form dz1 ^ dz2 = e13 + i e14 + i e23 - e24
 _SIGMA = [0, 1, I, I, -1, 0]

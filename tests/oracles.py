@@ -210,19 +210,67 @@ def frac_first_nonpositive_minor(h: QiMatrix):
     return None
 
 
-def frac_matmul(a: QiMatrix, b: QiMatrix) -> list:
-    brows = _pair_rows(b)
+def _gauss_rows(rows) -> list:
+    return [[_gauss(x) for x in row] for row in rows]
+
+
+def _product(x, y, ncols: int) -> list:
+    """Product of the pair rows x and the pair rows y, which have ncols columns."""
     out = []
-    for row in _pair_rows(a):
+    for row in x:
         out_row = []
-        for j in range(b.cols):
+        for j in range(ncols):
             acc = (Fraction(0), Fraction(0))
-            for t, x in enumerate(row):
-                y = _mul(x, brows[t][j])
-                acc = (acc[0] + y[0], acc[1] + y[1])
-            out_row.append(_gauss(acc))
+            for t, v in enumerate(row):
+                w = _mul(v, y[t][j])
+                acc = (acc[0] + w[0], acc[1] + w[1])
+            out_row.append(acc)
         out.append(out_row)
     return out
+
+
+def frac_matmul(a: QiMatrix, b: QiMatrix) -> list:
+    return _gauss_rows(_product(_pair_rows(a), _pair_rows(b), b.cols))
+
+
+def frac_power(a: QiMatrix, k: int) -> list:
+    n, rows = a.rows, _pair_rows(a)
+    if k == 0:
+        return _gauss_rows([[(Fraction(int(i == j)), Fraction(0)) for j in range(n)]
+                            for i in range(n)])
+    acc = rows
+    for _ in range(k - 1):
+        acc = _product(acc, rows, n)
+    return _gauss_rows(acc)
+
+
+def frac_add(a: QiMatrix, b: QiMatrix, sign: int = 1) -> list:
+    """Rows of a + sign * b."""
+    return [[_gauss((x[0] + sign * y[0], x[1] + sign * y[1])) for x, y in zip(r, s)]
+            for r, s in zip(_pair_rows(a), _pair_rows(b))]
+
+
+def frac_scale(a: QiMatrix, c) -> list:
+    c = _pair(c)
+    return [[_gauss(_mul(c, x)) for x in row] for row in _pair_rows(a)]
+
+
+def frac_conj(a: QiMatrix) -> list:
+    return [[_gauss((x[0], -x[1])) for x in row] for row in _pair_rows(a)]
+
+
+def frac_transpose(a: QiMatrix) -> list:
+    rows = _pair_rows(a)
+    return [[_gauss(rows[i][j]) for i in range(a.rows)] for j in range(a.cols)]
+
+
+def frac_hstack(a: QiMatrix, b: QiMatrix) -> list:
+    return _gauss_rows(r + s for r, s in zip(_pair_rows(a), _pair_rows(b)))
+
+
+def frac_submatrix(a: QiMatrix, row_idx, col_idx) -> list:
+    rows = _pair_rows(a)
+    return [[_gauss(rows[i][j]) for j in col_idx] for i in row_idx]
 
 
 # ---------------------------------------------------------------------------

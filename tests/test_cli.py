@@ -149,6 +149,8 @@ def test_negative_values_after_coeffs_and_samples():
         run(["check-orbifold", "p2", "--coeffs=-1/2"])
     assert run(["orbit", "p1", "--samples", "-i", "--json"]) == \
         run(["orbit", "p1", "--samples=-i", "--json"])
+    assert run(["age", "--order", "3", "--exponents", "-1,2"]) == \
+        run(["age", "--order", "3", "--exponents=-1,2"])
     code, out, err = run(["check-orbifold", "p1xp1", "--coeffs", "1", "-1/2"])
     assert code in (0, 1) and err == "" and out.startswith("check-orbifold: ")
     # an unknown option is still a usage error
@@ -355,5 +357,5 @@ def test_fuzzed_polytopes_end_in_a_report_or_invalid_input(case):
 @given(order=st.integers(-2, 6), exponents=st.lists(st.integers(-2, 8), max_size=4))
 def test_fuzzed_age_arguments_end_in_a_report_or_invalid_input(order, exponents):
     code, _, err = run(["age", f"--order={order}",
-                        "--exponents=" + ",".join(map(str, exponents))])
+                        "--exponents", ",".join(map(str, exponents))])
     assert_report_or_invalid_input(code, err, "--")

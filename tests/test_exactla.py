@@ -30,9 +30,10 @@ from orbhodge.exactla import (
 from orbhodge.filtration import DecreasingFiltration, IncreasingFiltration
 from orbhodge.report import Report
 
-from oracles import (frac_det, frac_first_nonpositive_minor, frac_inverse, frac_kernel_basis,
-                     frac_matmul, frac_rank, frac_solve, frac_span_basis, int_matrix,
-                     random_nilpotent, random_qi_rows, random_real_invertible,
+from oracles import (frac_add, frac_conj, frac_det, frac_first_nonpositive_minor, frac_hstack,
+                     frac_inverse, frac_kernel_basis, frac_matmul, frac_power, frac_rank,
+                     frac_scale, frac_solve, frac_span_basis, frac_submatrix, frac_transpose,
+                     int_matrix, random_nilpotent, random_qi_rows, random_real_invertible,
                      random_unimodular_int)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9)
@@ -76,7 +77,7 @@ def test_rank_nullity_and_subspace_containment():
         for v in ker.vectors():
             assert all(c.is_zero() for c in m.apply(v))
         for v in img.vectors():
-            assert img.contains_vector(v)
+            assert img.contains(Subspace.span(rows, [v]))
 
 
 def test_solve_unique_and_inverse():
@@ -125,8 +126,8 @@ def test_subspace_canonical_form_is_representation_independent():
         scaled = [[c * GaussRational(2, 1) for c in v] for v in shuffled]
         assert Subspace.span(n, scaled) == s
         for v in vecs:
-            assert s.contains_vector(v)
-            coords = s.coordinates_of(v)
+            assert s.contains(Subspace.span(n, [v]))
+            coords = solve_unique(s.basis, v)
             rebuilt = [sum((b[k] * coords[j] for j, b in enumerate(s.vectors())),
                            GaussRational(0, 0)) for k in range(n)]
             assert rebuilt == [as_gauss(c) for c in v]
@@ -299,8 +300,15 @@ def test_det_and_leading_minors_agree_with_the_oracle():
             assert first_nonpositive_minor(h) == frac_first_nonpositive_minor(h)
 
 
+def _matches(m, rows, cols):
+    """m has the oracle's entries, and equals the matrix built from them."""
+    return (m.cols == cols and m.to_rows() == rows
+            and m == QiMatrix.from_rows(rows, cols=cols))
+
+
 def test_products_agree_with_the_oracle():
     rng = random.Random(2028)
+    more = random.Random(2031)  # the added inputs leave rng's draws as they were
     for a, gaussian in AGREEMENT_CASES:
         k = rng.randint(0, 9)
         b = QiMatrix.from_rows(random_qi_rows(rng, a.cols, k, gaussian), cols=k)
@@ -308,6 +316,42 @@ def test_products_agree_with_the_oracle():
         v = [row[0] for row in random_qi_rows(rng, a.cols, 1, gaussian)]
         column = QiMatrix.from_rows([[x] for x in v], cols=1)
         assert a.apply(v) == [row[0] for row in frac_matmul(a, column)]
+        c = QiMatrix.from_rows(random_qi_rows(more, a.rows, a.cols, gaussian), cols=a.cols)
+        assert _matches(a + c, frac_add(a, c), a.cols)
+        assert _matches(a - c, frac_add(a, c, -1), a.cols)
+        assert _matches(-a, frac_scale(a, -1), a.cols)
+        for z in (0, GaussRational(0, Fraction(-3, 7)), random_qi_rows(more, 1, 1, gaussian)[0][0]):
+            assert _matches(a.scale(z), frac_scale(a, z), a.cols)
+        assert _matches(a.conj(), frac_conj(a), a.cols)
+        assert _matches(a.transpose(), frac_transpose(a), a.rows)
+        assert _matches(a.hstack(c), frac_hstack(a, c), 2 * a.cols)
+        row_idx = sorted(more.sample(range(a.rows), more.randint(0, a.rows)))
+        col_idx = sorted(more.sample(range(a.cols), more.randint(0, a.cols)))
+        assert _matches(a.submatrix(row_idx, col_idx), frac_submatrix(a, row_idx, col_idx),
+                        len(col_idx))
+        if a.rows == a.cols:
+            for p in range(3):
+                assert _matches(a.power(p), frac_power(a, p), a.cols)
+
+
+def test_equal_matrices_have_one_stored_form():
+    rng = random.Random(2030)
+    for m, gaussian in AGREEMENT_CASES:
+        c = random_qi_rows(rng, 1, 1, True)[0][0]
+        if not c.is_zero():
+            back = m.scale(c).scale(c.inverse())
+            assert back == m and hash(back) == hash(m)
+        twice = (m + m) - m
+        assert twice == m and hash(twice) == hash(m)
+        if not gaussian:
+            turned = m.scale(I).scale(-I)
+            assert turned == m and turned.im is None
+    assert QiMatrix.from_rows([[Fraction(2, 2), GaussRational(Fraction(4, 2))]]) == \
+        QiMatrix.from_rows([[1, 2]])
+    assert QiMatrix.from_rows([[Fraction(1, 2), Fraction(3, 2)]]).scale(2) == \
+        QiMatrix.from_rows([[1, 3]])
+    assert QiMatrix.from_rows([[Fraction(1, 3)]]) - QiMatrix.from_rows([[Fraction(1, 3)]]) == \
+        QiMatrix.zeros(1, 1)
 
 
 def test_span_is_invariant_under_scaling_its_vectors():
