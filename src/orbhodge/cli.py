@@ -132,7 +132,9 @@ def cmd_dual(args) -> RunReport:
     except OriginNotInterior as exc:
         raise InputError([("$.vertices", str(exc))])
     report = Report()
-    reflexive = is_reflexive(p)
+    # polar_dual returned, so the origin is interior: reflexive means both
+    # p and its dual are lattice polytopes
+    reflexive = p.is_lattice() and d.is_lattice()
     if reflexive:
         report.passed("reflexive")
     else:

@@ -579,16 +579,24 @@ def solve_unique(a: QiMatrix, b: Sequence[Scalar]) -> list:
     """Solve a x = b where a has full column rank; raises if inconsistent."""
     if len(b) != a.rows:
         raise DimensionMismatch("right-hand side length disagrees")
+    return solve_columns(a, QiMatrix.from_columns([b], rows=a.rows)).column(0)
+
+
+def solve_columns(a: QiMatrix, b: QiMatrix) -> QiMatrix:
+    """The X with a X = b, where a has full column rank, from one elimination
+    of [a | b]; raises if some column of b is not in the image of a."""
+    if b.rows != a.rows:
+        raise DimensionMismatch("right-hand side length disagrees")
     n = a.cols
-    aug = a.hstack(QiMatrix.from_columns([b], rows=a.rows))
-    pivots, re, im = _eliminate(aug.re, aug.im, n + 1)
-    if n in pivots:
+    aug = a.hstack(b)
+    pivots, re, im = _eliminate(aug.re, aug.im, aug.cols)
+    if pivots and pivots[-1] >= n:
         raise ValueError("inconsistent system")
     if len(pivots) != n:
         raise ValueError("solution is not unique")
-    x = _scaled_rows(1, [r[n:] for r in re[:n]], None if im is None else [r[n:] for r in im[:n]],
-                     [re[r][r] for r in range(n)])
-    return x.column(0)
+    return _scaled_rows(b.cols, [r[n:] for r in re[:n]],
+                        None if im is None else [r[n:] for r in im[:n]],
+                        [re[r][r] for r in range(n)])
 
 
 @dataclass(frozen=True)

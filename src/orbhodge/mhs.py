@@ -23,6 +23,7 @@ from .exactla import (
     Subspace,
     extend_basis,
     kernel,
+    solve_columns,
     solve_unique,
     sum_all,
 )
@@ -177,7 +178,6 @@ class GradedQuotient:
         self.dim = len(complement)
         self.lift_matrix = QiMatrix.from_columns(complement, rows=w.ambient_dim)
         self._solver = self.lift_matrix.hstack(inner.basis)
-        self._inner_dim = inner.dim
 
     def project(self, v: Sequence) -> list:
         """Quotient coordinates of an ambient vector of W_l."""
@@ -185,8 +185,10 @@ class GradedQuotient:
         return x[: self.dim]
 
     def project_subspace(self, s: Subspace) -> Subspace:
-        vecs = [self.project(v) for v in s.vectors()]
-        return Subspace.span(self.dim, vecs)
+        """Quotient coordinates of a subspace of W_l, every basis vector
+        solved in one elimination."""
+        x = solve_columns(self._solver, s.basis)
+        return Subspace.from_matrix(x.submatrix(range(self.dim), range(x.cols)))
 
 
 def induced_filtration(f: DecreasingFiltration, w: IncreasingFiltration, l: int,

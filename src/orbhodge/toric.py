@@ -1,14 +1,24 @@
 """Lattice polytopes: polar duals, face lattices, interior lattice points.
 
-Everything is exact over the rationals.  Facets are found by exhaustive
-search over n-subsets of vertices (adequate for the handful-of-vertices
-scale this library targets; the cost is O(C(v, n) * v * n^3)).  On top of
-the combinatorics sit the hypersurface-sector enumeration and the hard
-Lefschetz verdict for generic anticanonical hypersurfaces: a twisted
-sector candidate arises from each lattice point in the relative interior
-of a face of the polar dual with dimension between 1 and n-2, carries age
-1, and is compatible with the hard Lefschetz condition exactly when that
-face is an edge.
+Everything is exact over the rationals, and the combinatorics run on Python
+ints.  Facets come from the double-description method (Fukuda and Prodon,
+"Double description method revisited", 1996) on the homogenized vertex rows
+(D v, -1), D the common denominator of the vertices.  The cone of
+inequalities (a, c) with <D v, a> <= c starts as the simplicial cone that
+n+1 affinely independent vertices cut out; each further vertex cuts it
+again, and every adjacent pair of rays on opposite sides of the cut gives a
+new ray (adjacent: at least n-1 common tight vertices, and no third ray
+tight on all of them).  A final ray's tight vertices are its facet's
+vertices.  Lattice points are enumerated over a bounding box on integer
+facet rows, each with the set of facets it lies on; the sector scan walks
+the polar dual once and puts each point inside the face whose supporting
+facets are exactly that set, as PALP does (Kreuzer and Skarke,
+math/0204356).  On top of the combinatorics sit the hypersurface-sector
+enumeration and the hard Lefschetz verdict for generic anticanonical
+hypersurfaces: a twisted sector candidate arises from each lattice point in
+the relative interior of a face of the polar dual with dimension between 1
+and n-2, carries age 1, and is compatible with the hard Lefschetz condition
+exactly when that face is an edge.
 """
 
 from __future__ import annotations
@@ -18,9 +28,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
-from .exactla import QiMatrix, kernel, rank
+from .exactla import QiMatrix, rank
 
 
 class DegeneratePolytope(ValueError):
@@ -29,33 +40,6 @@ class DegeneratePolytope(ValueError):
 
 class OriginNotInterior(ValueError):
     """Polar duality needs the origin strictly inside."""
-
-
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def _primitive(vec: Sequence) -> tuple:
-    """Scale a rational vector to a primitive integer vector, same ray."""
-    denoms = [Fraction(x).denominator for x in vec]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(Fraction(x) * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
-
-
-def _affine_rank(points: Sequence) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[Fraction(x) - Fraction(y) for x, y in zip(p, base)] for p in points[1:]]
-    return rank(QiMatrix.from_rows(rows, cols=len(base)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +58,7 @@ class LatticePolytope:
     Vertices may be rational (polar duals of lattice polytopes usually
     are); is_lattice() tells whether all are integral.  The constructor
     computes the facet inequalities and verifies every listed vertex is
-    extreme (tight on facets whose normals span the space).
+    extreme (the facets through it meet in no other listed point).
     """
 
     dim: int
@@ -91,12 +75,16 @@ class LatticePolytope:
             verts.append(v)
         if len(set(verts)) != len(verts):
             raise DegeneratePolytope("duplicate vertices")
-        if _affine_rank(verts) != dim:
-            raise DegeneratePolytope("vertices do not span the full dimension")
+        if dim < 1:
+            raise DegeneratePolytope("a polytope needs dimension at least 1")
         facets = _find_facets(dim, verts)
+        masks = [_mask(f.vertex_indices) for f in facets]
         for i, v in enumerate(verts):
-            tight = [f.normal for f in facets if i in f.vertex_indices]
-            if not tight or rank(QiMatrix.from_rows([list(t) for t in tight], cols=dim)) != dim:
+            meet = -1
+            for m in masks:
+                if m >> i & 1:
+                    meet &= m
+            if meet != 1 << i:
                 raise DegeneratePolytope(f"listed point ({', '.join(map(str, v))}) is not a vertex")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", tuple(verts))
@@ -106,7 +94,10 @@ class LatticePolytope:
         return all(x.denominator == 1 for v in self.vertices for x in v)
 
     def contains(self, point: Sequence) -> bool:
-        return all(_dot(f.normal, point) <= f.offset for f in self.facets)
+        point = [Fraction(x) for x in point]
+        den = math.lcm(*(x.denominator for x in point))
+        ints = [x.numerator * (den // x.denominator) for x in point]
+        return all(sum(map(mul, a, ints)) <= b * den for a, b in _facet_rows(self))
 
     def origin_interior(self) -> bool:
         return all(f.offset > 0 for f in self.facets)
@@ -115,36 +106,87 @@ class LatticePolytope:
         return set(self.vertices)
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _homogenized(points) -> tuple:
+    """(D, rows): D the common denominator of the points, and the integer
+    rows (D p, -1)."""
+    den = math.lcm(*(x.denominator for q in points for x in q))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in q) + (-1,) for q in points]
+
+
+def _independent_rows(rows: list, width: int) -> list:
+    """Indices of linearly independent rows, taken greedily in order until
+    there are `width` of them; fewer when the rows have smaller rank."""
+    echelon = []  # (pivot column, reduced row)
+    chosen = []
+    for i, row in enumerate(rows):
+        r = list(row)
+        for c, e in echelon:
+            if r[c]:
+                r = [e[c] * x - r[c] * y for x, y in zip(r, e)]
+        if any(r):
+            echelon.append((next(c for c, x in enumerate(r) if x), r))
+            chosen.append(i)
+            if len(chosen) == width:
+                break
+    return chosen
+
+
+def _primitive(vec) -> tuple:
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
+
+
 def _find_facets(dim: int, verts: list) -> tuple:
-    found = {}
-    for subset in itertools.combinations(range(len(verts)), dim):
-        pts = [verts[i] for i in subset]
-        if _affine_rank(pts) != dim - 1:
+    """Facets by the double-description method on integer vertex rows.
+
+    A ray (a, c) of the cone {<D v, a> <= c for every vertex v} is stored
+    with the bitmask of the vertices it is tight on.
+    """
+    den, rows = _homogenized(verts)
+    start = _independent_rows(rows, dim + 1)
+    if len(start) != dim + 1:
+        raise DegeneratePolytope("vertices do not span the full dimension")
+    # column j of minus the inverse is tight on every start row but the
+    # j-th, and negative there; the inverse has a positive denominator
+    inverse = QiMatrix.from_rows([rows[i] for i in start]).inverse()
+    rays = [(_primitive([-r[j] for r in inverse.re]), _mask(i for i in start if i != k))
+            for j, k in enumerate(start)]
+    chosen = set(start)
+    for i, row in enumerate(rows):
+        if i not in chosen:
+            rays = _cut(rays, row, 1 << i, dim - 1)
+    facets = []
+    for ray, tight in rays:
+        g = gcd(*ray[:dim])
+        facets.append(Facet(tuple(x // g for x in ray[:dim]), Fraction(ray[dim], den * g),
+                            tuple(i for i in range(len(verts)) if tight >> i & 1)))
+    return tuple(sorted(facets, key=lambda f: (f.normal, f.offset)))
+
+
+def _cut(rays: list, row: tuple, bit: int, min_common: int) -> list:
+    """One double-description step: the extreme rays of the cone cut by
+    <row, x> <= 0, from those of the cone before the cut."""
+    values = [sum(map(mul, row, ray)) for ray, _ in rays]
+    out = [(ray, tight | bit if s == 0 else tight)
+           for (ray, tight), s in zip(rays, values) if s <= 0]
+    masks = [tight for _, tight in rays]
+    for a, ((p, zp), sp) in enumerate(zip(rays, values)):
+        if sp <= 0:
             continue
-        base = pts[0]
-        rows = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-        ker = kernel(QiMatrix.from_rows(rows, cols=dim))
-        if ker.dim != 1:
-            continue
-        normal_vec = [c.re for c in ker.basis.column(0)]
-        normal = _primitive(normal_vec)
-        offset = _dot(normal, base)
-        values = [_dot(normal, v) for v in verts]
-        if all(x <= offset for x in values):
-            pass
-        elif all(x >= offset for x in values):
-            normal = tuple(-x for x in normal)
-            offset = -offset
-            values = [-x for x in values]
-        else:
-            continue
-        key = (normal, offset)
-        if key not in found:
-            tight = tuple(i for i, x in enumerate(values) if x == offset)
-            found[key] = Facet(normal, offset, tight)
-    if not found:
-        raise DegeneratePolytope("no facets found")
-    return tuple(sorted(found.values(), key=lambda f: (f.normal, f.offset)))
+        for b, ((q, zq), sq) in enumerate(zip(rays, values)):
+            if sq >= 0:
+                continue
+            common = zp & zq
+            if common.bit_count() < min_common:
+                continue
+            if any(z & common == common for k, z in enumerate(masks) if k != a and k != b):
+                continue
+            out.append((_primitive([sp * y - sq * x for x, y in zip(p, q)]), common | bit))
+    return out
 
 
 def polar_dual(p: LatticePolytope) -> LatticePolytope:
@@ -194,10 +236,10 @@ def face_lattice(p: LatticePolytope) -> list:
                     new.add(c)
         faces |= new
         frontier = new
+    rows = _homogenized(p.vertices)[1]
     infos = []
     for vs in faces:
-        pts = [p.vertices[i] for i in vs]
-        fdim = _affine_rank(pts)
+        fdim = rank(QiMatrix.from_rows([rows[i] for i in vs], cols=p.dim + 1)) - 1
         supporting = tuple(i for i, f in enumerate(p.facets)
                            if vs <= frozenset(f.vertex_indices))
         infos.append(FaceInfo(fdim, tuple(sorted(vs)), supporting))
@@ -209,44 +251,45 @@ def face_lattice(p: LatticePolytope) -> list:
     return infos
 
 
-def _bounding_box(points: Sequence) -> list:
-    lo = [min(Fraction(p[i]) for p in points) for i in range(len(points[0]))]
-    hi = [max(Fraction(p[i]) for p in points) for i in range(len(points[0]))]
-    return [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+def _facet_rows(p: LatticePolytope) -> list:
+    """Facet inequalities as integer rows (a, b): <a, x> <= b holds exactly
+    when <normal, x> <= offset does."""
+    return [(tuple(c * f.offset.denominator for c in f.normal), f.offset.numerator)
+            for f in p.facets]
+
+
+def _lattice_scan(p: LatticePolytope, vertex_ids) -> list:
+    """(point, tight) for every lattice point of p in the bounding box of the
+    listed vertices, in lexicographic order; tight is the bitmask of the
+    facets the point lies on."""
+    columns = zip(*(p.vertices[i] for i in vertex_ids))
+    box = [range(min(map(math.ceil, c)), max(map(math.floor, c)) + 1) for c in columns]
+    rows = _facet_rows(p)
+    out = []
+    for point in itertools.product(*box):
+        tight = 0
+        for k, (a, b) in enumerate(rows):
+            value = sum(map(mul, a, point))
+            if value > b:
+                break
+            if value == b:
+                tight |= 1 << k
+        else:
+            out.append((point, tight))
+    return out
 
 
 def relative_interior_points(p: LatticePolytope, face: FaceInfo) -> list:
     """Lattice points strictly inside the face: tight on the face's
     supporting facets and strictly inside every other facet."""
-    pts = [p.vertices[i] for i in face.vertex_subset]
-    supporting = set(face.supporting_facets)
-    out = []
-    for candidate in itertools.product(*_bounding_box(pts)):
-        ok = True
-        for i, f in enumerate(p.facets):
-            value = _dot(f.normal, candidate)
-            if i in supporting:
-                if value != f.offset:
-                    ok = False
-                    break
-            elif value >= f.offset:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(candidate))
-    return sorted(out)
+    want = _mask(face.supporting_facets)
+    return [x for x, tight in _lattice_scan(p, face.vertex_subset) if tight == want]
 
 
 def lattice_points_of_face(p: LatticePolytope, face: FaceInfo) -> list:
     """All lattice points of the face (boundary included)."""
-    pts = [p.vertices[i] for i in face.vertex_subset]
-    supporting = set(face.supporting_facets)
-    out = []
-    for candidate in itertools.product(*_bounding_box(pts)):
-        if all(_dot(p.facets[i].normal, candidate) == p.facets[i].offset
-               for i in supporting) and p.contains(candidate):
-            out.append(tuple(candidate))
-    return sorted(out)
+    want = _mask(face.supporting_facets)
+    return [x for x, tight in _lattice_scan(p, face.vertex_subset) if tight & want == want]
 
 
 @dataclass(frozen=True)
@@ -281,11 +324,16 @@ def cy_hypersurface_sectors(delta: LatticePolytope) -> list:
         raise ValueError("hypersurface sectors need a reflexive polytope")
     dual = polar_dual(delta)
     n = delta.dim
+    # one scan of the dual: a point lies in the relative interior of the
+    # face whose supporting facets are exactly the facets it is tight on
+    inside = {}
+    for point, tight in _lattice_scan(dual, range(len(dual.vertices))):
+        inside.setdefault(tight, []).append(point)
     out = []
     for face in face_lattice(dual):
         if not 1 <= face.face_dim <= n - 2:
             continue
-        for point in relative_interior_points(dual, face):
+        for point in inside.get(_mask(face.supporting_facets), ()):
             out.append(SectorCandidate(point, face, n))
     return out
 

@@ -10,6 +10,8 @@ circular.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from orbhodge.exactla import (
@@ -25,7 +27,7 @@ from orbhodge.exactla import (
 from orbhodge.filtration import IncreasingFiltration
 from orbhodge.hodge import HodgeStructureData
 from orbhodge.orbifold import OrbifoldData, SectorData
-from orbhodge.toric import LatticePolytope
+from orbhodge.toric import DegeneratePolytope, Facet, LatticePolytope
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +436,110 @@ def random_reflexive(rng) -> LatticePolytope:
     moved = [tuple(sum(g[i][j] * v[j] for j in range(n)) for i in range(n))
              for v in verts]
     return LatticePolytope(n, moved)
+
+
+# ---------------------------------------------------------------------------
+# brute-force polytope combinatorics: every n-subset of vertices is a facet
+# candidate, and every lattice point of a face's bounding box is tested with
+# Fraction dot products
+
+
+def _frac_dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _frac_real_rref(rows, ncols: int) -> tuple:
+    """Reduced row echelon form of rational rows and its pivots."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for k in range(len(rows)):
+            f = rows[k][c]
+            if k != r and f:
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _frac_affine_rank(points) -> int:
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    return len(_frac_real_rref([[x - y for x, y in zip(q, base)] for q in points[1:]],
+                               len(base))[1])
+
+
+def frac_find_facets(dim: int, verts) -> tuple:
+    """Facets of the hull of distinct, spanning rational points, each tight
+    on every listed point it contains, by search over every dim-subset of
+    the points."""
+    found = {}
+    for subset in itertools.combinations(range(len(verts)), dim):
+        base = verts[subset[0]]
+        rows, pivots = _frac_real_rref([[x - y for x, y in zip(verts[i], base)]
+                                        for i in subset[1:]], dim)
+        if len(pivots) != dim - 1:
+            continue
+        free = next(c for c in range(dim) if c not in pivots)
+        vec = [Fraction(0)] * dim
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        scale = math.lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = math.gcd(*ints)
+        normal = tuple(x // g for x in ints)
+        offset = _frac_dot(normal, base)
+        values = [_frac_dot(normal, v) for v in verts]
+        if any(x > offset for x in values):
+            if any(x < offset for x in values):
+                continue
+            normal, offset, values = tuple(-x for x in normal), -offset, [-x for x in values]
+        tight = tuple(i for i, x in enumerate(values) if x == offset)
+        found[(normal, offset)] = Facet(normal, offset, tight)
+    if not found:
+        raise DegeneratePolytope("no facets found")
+    return tuple(sorted(found.values(), key=lambda f: (f.normal, f.offset)))
+
+
+def frac_polytope_facets(dim: int, vertices) -> tuple:
+    """The facets LatticePolytope(dim, vertices) computes, or the same
+    DegeneratePolytope message."""
+    verts = [tuple(Fraction(x) for x in v) for v in vertices]
+    if any(len(v) != dim for v in verts):
+        raise DegeneratePolytope("vertex length disagrees with the dimension")
+    if len(set(verts)) != len(verts):
+        raise DegeneratePolytope("duplicate vertices")
+    if _frac_affine_rank(verts) != dim:
+        raise DegeneratePolytope("vertices do not span the full dimension")
+    facets = frac_find_facets(dim, verts)
+    for i, v in enumerate(verts):
+        tight = [f.normal for f in facets if i in f.vertex_indices]
+        if not tight or len(_frac_real_rref(tight, dim)[1]) != dim:
+            raise DegeneratePolytope(f"listed point ({', '.join(map(str, v))}) is not a vertex")
+    return facets
+
+
+def frac_relative_interior_points(p: LatticePolytope, face) -> list:
+    """Lattice points of the face's bounding box tight on its supporting
+    facets and strictly inside every other facet."""
+    pts = [p.vertices[i] for i in face.vertex_subset]
+    box = [range(math.ceil(min(q[k] for q in pts)), math.floor(max(q[k] for q in pts)) + 1)
+           for k in range(p.dim)]
+    out = []
+    for candidate in itertools.product(*box):
+        if all(_frac_dot(f.normal, candidate) == f.offset if i in face.supporting_facets
+               else _frac_dot(f.normal, candidate) < f.offset
+               for i, f in enumerate(p.facets)):
+            out.append(candidate)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from orbhodge.exactla import GaussRational, I, QiMatrix, Subspace
 from orbhodge.mhs import (
     Bigrading,
     BilinearFormData,
+    GradedQuotient,
     NilpotentOperator,
     NotCommuting,
     NotNilpotent,
@@ -111,6 +112,35 @@ def test_weight_filtration_is_conjugation_equivariant():
         base = weight_filtration(NilpotentOperator(m))
         for l in set(base.jump_indices()) | set(moved.jump_indices()):
             assert moved.at(l) == base.at(l).apply(g)
+
+
+def test_project_subspace_matches_projecting_each_vector():
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(30):
+        m = random_nilpotent(rng, rng.randint(1, 7))
+        w = weight_filtration(NilpotentOperator(m))
+        for l in w.jump_indices():
+            gr = GradedQuotient(w, l)
+            outer = w.at(l).vectors()
+            for size in range(len(outer) + 1):
+                vecs = []
+                for _ in range(size):
+                    coeffs = [GaussRational(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in outer]
+                    vecs.append([sum((c * u[i] for c, u in zip(coeffs, outer)), GaussRational(0))
+                                 for i in range(w.ambient_dim)])
+                s = Subspace.span(w.ambient_dim, vecs)
+                assert gr.project_subspace(s) == Subspace.span(
+                    gr.dim, [gr.project(v) for v in s.vectors()])
+                checked += 1
+            if w.at(l).dim < w.ambient_dim:
+                outside = Subspace.full(w.ambient_dim)
+                with pytest.raises(ValueError, match="inconsistent system"):
+                    gr.project_subspace(outside)
+                with pytest.raises(ValueError, match="inconsistent system"):
+                    gr.project(next(v for v in outside.vectors()
+                                    if not w.at(l).contains(Subspace.span(w.ambient_dim, [v]))))
+    assert checked > 100
 
 
 def test_nilpotent_exp_is_a_terminating_exponential():

@@ -1,12 +1,15 @@
 """Lattice polytopes: polar duality, reflexivity, face enumeration, the
 hypersurface sector scan, and the weighted projective generators."""
 
+import collections
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from orbhodge.models import P11133_VERTICES, P11226_VERTICES, SQUARE_VERTICES
+from orbhodge import toric
 from orbhodge.orbifold import OrbifoldData, hlc_check
 from orbhodge.toric import (
     HLC_CAVEAT,
@@ -24,7 +27,14 @@ from orbhodge.toric import (
     wps_polytope,
 )
 
-from oracles import REFLEXIVE_STOCK, model_sector, random_reflexive
+from oracles import (
+    REFLEXIVE_STOCK,
+    frac_find_facets,
+    frac_polytope_facets,
+    frac_relative_interior_points,
+    model_sector,
+    random_reflexive,
+)
 
 E4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
@@ -181,3 +191,101 @@ def test_failed_verdict_propagates_to_the_orbifold_check():
     fails = _induced_skeleton(_poly(P11133_VERTICES))
     assert not hlc_check(fails).ok()
     assert hlc_verdict(_poly(P11133_VERTICES)).verdict == "fails"
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except DegeneratePolytope as exc:
+        return str(exc)
+
+
+def _random_point_set(rng):
+    """dim 2-4, dim+1 to dim+6 points with coordinates p/q, |p| <= 3, q <= 3;
+    some sets are pressed into a hyperplane, some get a listed midpoint."""
+    d = rng.randint(2, 4)
+    pts = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+           for _ in range(rng.randint(d + 1, d + 6))]
+    kind = rng.random()
+    if kind < 0.15:
+        pts = [q[:-1] + (q[0],) for q in pts]
+    elif kind < 0.3:
+        a, b = rng.sample(pts, 2)
+        pts.insert(rng.randrange(len(pts) + 1), tuple((x + y) / 2 for x, y in zip(a, b)))
+    return d, pts
+
+
+def test_double_description_agrees_with_brute_force():
+    rng = random.Random(97)
+    seen = collections.Counter()
+    for _ in range(400):
+        d, pts = _random_point_set(rng)
+        got = _outcome(lambda: LatticePolytope(d, pts).facets)
+        assert got == _outcome(frac_polytope_facets, d, pts), (d, pts)
+        seen[got.partition(" (")[0] if isinstance(got, str) else "facets"] += 1
+        if isinstance(got, str) and got.startswith("listed point"):
+            # the hull of every listed point, the non-vertices among them
+            # tight on the facets through them
+            assert toric._find_facets(d, pts) == frac_find_facets(d, pts), (d, pts)
+    assert set(seen) == {"facets", "duplicate vertices", "listed point",
+                         "vertices do not span the full dimension"}
+    assert min(seen.values()) >= 20, seen
+
+
+def _product(a, b):
+    return [x + y for x in a for y in b]
+
+
+def _free_sum(a, b):
+    za, zb = (0,) * len(a[0]), (0,) * len(b[0])
+    return [x + zb for x in a] + [za + y for y in b]
+
+
+SEG, SQUARE, DIAMOND, TRI, _, HEXAGON = REFLEXIVE_STOCK[:6]
+HEXAGON_POLAR = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+
+def test_sector_scan_agrees_with_brute_force():
+    rng = random.Random(101)
+    polys = [random_reflexive(rng) for _ in range(30)]
+    polys += [_poly(v) for v in (
+        _product(SQUARE, SEG), _free_sum(TRI, SEG), _product(HEXAGON, SEG),
+        _free_sum(HEXAGON, SEG), _product(TRI, TRI), _free_sum(TRI, TRI),
+        _product(HEXAGON, SQUARE), _free_sum(_free_sum(SQUARE, SEG), SEG))]
+    counts = []
+    for p in polys:
+        dual = polar_dual(p)
+        want = []
+        for face in face_lattice(dual):
+            inner = frac_relative_interior_points(dual, face)
+            assert relative_interior_points(dual, face) == inner
+            if 1 <= face.face_dim <= p.dim - 2:
+                want += [(x, face) for x in inner]
+        assert [(c.lattice_point, c.face) for c in cy_hypersurface_sectors(p)] == want
+        counts.append(len(want))
+    assert max(counts) == 78  # the free sum of two triangles
+
+
+CUBE5 = list(itertools.product((1, -1), repeat=5))
+CROSS5 = [tuple(s if k == i else 0 for k in range(5)) for i in range(5) for s in (1, -1)]
+
+
+def test_five_cube_dual_is_the_cross_polytope():
+    assert _vertex_set(polar_dual(_poly(CUBE5))) == set(CROSS5)
+
+
+def test_five_dim_cross_polytope_fails_with_the_centres_of_cube_faces():
+    # the dual 5-cube has one interior lattice point, its centre, in each of
+    # its 80 edges, 80 squares and 40 cubes; the squares and cubes violate
+    v = hlc_verdict(_poly(CROSS5))
+    assert v.verdict == "fails"
+    assert len(v.candidates) == 200
+    assert collections.Counter(c.face.face_dim for c in v.candidates) == {1: 80, 2: 80, 3: 40}
+    assert len(v.witnesses) == 120
+
+
+def test_hexagon_times_square_has_a_ten_vertex_dual():
+    p = _poly(_product(HEXAGON, SQUARE))
+    assert len(p.vertices) == 24 and len(p.facets) == 10
+    # the polar of a product is the free sum of the polars
+    assert _vertex_set(polar_dual(p)) == set(_free_sum(HEXAGON_POLAR, DIAMOND))
